@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import congruences, core, enumeration, joinsub, structure, verify
-from .errors import InvalidTable, SemilatticeError, UnknownName
+from .errors import InternalInconsistency, InvalidTable, SemilatticeError, UnknownName
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -280,6 +280,9 @@ def main(argv=None) -> int:
     except InvalidTable as exc:
         print(f"invalid semilattice: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_CLAIM_FAILED
     except SemilatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -110,53 +110,46 @@ def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     return Partition.from_block_id(ids)
 
 
-def principal_congruences(S: SemilatticeTable) -> list[Partition]:
-    """The congruences generated by single pairs, deduplicated."""
-    seen = {}
-    for x in range(S.n):
-        for y in range(x + 1, S.n):
-            P = congruence_generated(S, [(x, y)])
-            seen.setdefault(P.block_id, P)
-    return sorted(seen.values(), key=_sort_key)
-
-
-def congruence_join(S: SemilatticeTable, P: Partition, Q: Partition) -> Partition:
-    """Join in the congruence lattice: transitive union re-closed under meet compatibility."""
-    flat = []
-    for part in (P, Q):
-        for block in part.blocks:
-            first = block[0]
-            for x in block[1:]:
-                flat.append(first)
-                flat.append(x)
-    ids = kernels.congruence_closure(S.n, S.meet_flat, flat)
-    return Partition.from_block_id(ids)
-
-
 def all_meet_congruences(S: SemilatticeTable, max_n: int = 10) -> list[Partition]:
     """Every meet congruence of S, deterministically ordered.
 
-    Generated as the join closure of the principal congruences, which is
-    far smaller than scanning all Bell(n) partitions; the Bell scan stays
-    available as an independent oracle (``all_meet_congruences_bruteforce``).
+    Generated as the join closure of the cover congruences Cg(a, b) (a
+    covered by b), which reaches every congruence theta because:
+
+    - Cg(x, y) = Cg(x^y, x) v Cg(x^y, y), so theta is the join of the
+      Cg(a, b) with a < b inside one theta-block;
+    - for a < b, Cg(a, b) is the join of the cover congruences along a
+      maximal chain from a to b, and blocks are convex, so those covers lie
+      inside the block too.
+
+    The worklist holds dense first-occurrence block-id tuples (what the
+    closure kernel returns); each found tuple is joined with every cover it
+    does not yet collapse.  The Bell scan stays available as an independent
+    oracle (``all_meet_congruences_bruteforce``).
     """
     if S.n > max_n:
         raise TooLarge(f"n={S.n} exceeds bound {max_n}")
-    principals = principal_congruences(S)
-    found = {Partition.identity(S.n).block_id: Partition.identity(S.n)}
-    work = []
-    for P in principals:
-        if P.block_id not in found:
-            found[P.block_id] = P
-            work.append(P)
+    n = S.n
+    flat = S.meet_flat
+    identity = tuple(range(n))
+    found = {identity}
+    work = [identity]
     while work:
-        P = work.pop()
-        for Q in principals:
-            J = congruence_join(S, P, Q)
-            if J.block_id not in found:
-                found[J.block_id] = J
-                work.append(J)
-    return sorted(found.values(), key=_sort_key)
+        ids = work.pop()
+        spanning = []
+        reps = []
+        for x, b in enumerate(ids):
+            if b == len(reps):
+                reps.append(x)
+            else:
+                spanning += (reps[b], x)
+        for a, b in S.covers:
+            if ids[a] != ids[b]:
+                joined = tuple(kernels.congruence_closure(n, flat, spanning + [a, b]))
+                if joined not in found:
+                    found.add(joined)
+                    work.append(joined)
+    return sorted(map(Partition.from_block_id, found), key=_sort_key)
 
 
 def _set_partition_ids(n: int):

@@ -28,7 +28,7 @@ from .core import (
     canonical_with_perm,
     validate,
 )
-from .errors import NotEnoughValues, TooLarge
+from .errors import InternalInconsistency, NotEnoughValues, TooLarge
 from .joinsub import congruence_count
 from .structure import SemilatticeClass, classify
 
@@ -114,7 +114,7 @@ def _level(k: int) -> tuple[SemilatticeTable, ...]:
                 K = _accepted_canonical(_extend(parent, mask))
                 if K is not None:
                     if K.meet in found:
-                        raise RuntimeError("canonical augmentation produced a duplicate")
+                        raise InternalInconsistency("canonical augmentation produced a duplicate")
                     found[K.meet] = K
         _levels[k] = tuple(sorted(found.values(), key=lambda S: S.meet))
     return _levels[k]

@@ -96,3 +96,7 @@ class NotEnoughValues(SemilatticeError):
 
 class DualityViolation(SemilatticeError):
     pass
+
+
+class InternalInconsistency(SemilatticeError):
+    """Two routes inside the package disagreed: a bug, never bad input."""

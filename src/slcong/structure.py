@@ -22,6 +22,7 @@ from .congruences import (
 )
 from .core import SemilatticeTable, are_isomorphic, named
 from .errors import (
+    InternalInconsistency,
     NotConvexSubsemilattice,
     NotQuasiTree,
     SemilatticeError,
@@ -189,7 +190,7 @@ def classify(S: SemilatticeTable) -> ClassificationReport:
     else:
         cls = SemilatticeClass.OTHER
     if predicted is not None and predicted != k:
-        raise RuntimeError(
+        raise InternalInconsistency(
             f"class {cls.value} predicts {predicted} congruences, counted {k}"
         )
     return ClassificationReport(

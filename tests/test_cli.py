@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from slcong import structure
 from slcong.cli import main
 from slcong.core import extend_below, named
 
@@ -102,6 +103,14 @@ def test_classify_n5_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["class"] == "NucleusN5" and payload["congruence_count"] == 13
+
+
+def test_classify_internal_inconsistency_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(structure, "congruence_count", lambda S: 12)
+    code, out, err = run(capsys, "classify", "n5")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "predicts 13 congruences, counted 12" in err
 
 
 def test_classify_chain9(capsys):

@@ -97,12 +97,22 @@ def test_congruence_counts(name, count):
 
 def test_fast_path_matches_bell_oracle():
     pool = [named(name) for name in NAMED_POOL]
-    for n in range(1, 7):
+    for n in range(1, 8):
         pool += enumerate_semilattices(n)
     for S in pool:
         fast = all_meet_congruences(S)
         slow = all_meet_congruences_bruteforce(S)
         assert [P.blocks for P in fast] == [P.blocks for P in slow]
+
+
+def test_listed_congruences_are_closure_fixpoints_without_duplicates():
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            cons = all_meet_congruences(S)
+            assert len({P.blocks for P in cons}) == len(cons)
+            for P in cons:
+                spanning = [z for block in P.blocks for x in block[1:] for z in (block[0], x)]
+                assert tuple(kernels.congruence_closure(S.n, S.meet_flat, spanning)) == P.block_id
 
 
 def test_chain_congruence_counts_powers():

@@ -6,6 +6,7 @@ from slcong.core import extend_below, from_covers, named
 from slcong.enumeration import enumerate_semilattices
 from slcong.errors import (
     ContainsZero,
+    DualityViolation,
     NotJoinClosed,
     TooLarge,
     TooManyUbtas,
@@ -189,3 +190,19 @@ def test_verify_duality_all_six_element():
 def test_verify_duality_bound():
     with pytest.raises(TooLarge):
         verify_duality(named("chain_9"))
+
+
+@pytest.mark.parametrize("name", ["chain_3", "b4", "n5"])
+def test_verify_duality_detects_broken_reversal(monkeypatch, name):
+    # swapping the duals of the empty and the full subset keeps a bijection
+    # onto the congruences but makes the map order-preserving at its ends
+    S = named(name)
+    full = (1 << (S.n - 1)) - 1
+    dual_of_mask = PartialJoinStructure._dual_of_mask
+
+    def swapped(self, mask):
+        return dual_of_mask(self, mask ^ full if mask in (0, full) else mask)
+
+    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", swapped)
+    with pytest.raises(DualityViolation, match="not reversed refinement"):
+        verify_duality(S)
