@@ -42,8 +42,6 @@ from .joinsub import (
     DualityReport,
     PartialJoinStructure,
     congruence_count,
-    count_join_closed_bruteforce,
-    count_join_closed_ie,
     verify_duality,
 )
 from .structure import (

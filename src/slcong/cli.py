@@ -115,7 +115,7 @@ def cmd_spectrum(args) -> int:
     sp = enumeration.spectrum(args.n, with_witnesses=args.witnesses, max_n=args.max_n)
     top = None
     if args.top is not None:
-        top = enumeration.top_values(args.n, args.top, max_n=args.max_n)
+        top = enumeration.top_values(sp, args.top)
     if args.format == "json":
         obj = sp.to_obj()
         if not args.witnesses:
@@ -222,7 +222,7 @@ def _build_parser() -> _Parser:
             "--max-n",
             type=int,
             default=None,
-            help="enumeration bound (default 9, env SLCONG_MAX_ENUM_N)",
+            help=f"enumeration bound (default {enumeration.DEFAULT_MAX_N})",
         )
 
     p = sub.add_parser("validate", help="check the semilattice axioms on a table")

@@ -16,7 +16,6 @@ partitioning.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .core import (
@@ -36,11 +35,6 @@ DEFAULT_MAX_N = 9
 WITNESS_CAP = 64
 
 _ONE = SemilatticeTable(((0,),))
-
-
-def enumeration_bound() -> int:
-    env = os.environ.get("SLCONG_MAX_ENUM_N")
-    return int(env) if env else DEFAULT_MAX_N
 
 
 def _joinclosed_downset_masks(S: SemilatticeTable) -> list[int]:
@@ -124,7 +118,7 @@ def enumerate_semilattices(n: int, max_n: int | None = None) -> list[Semilattice
     """All n-element meet semilattices up to isomorphism, canonical and sorted."""
     if n < 1:
         raise TooLarge("n must be at least 1")
-    bound = enumeration_bound() if max_n is None else max_n
+    bound = DEFAULT_MAX_N if max_n is None else max_n
     if n > bound:
         raise TooLarge(f"n={n} exceeds enumeration bound {bound}")
     return list(_level(n))
@@ -193,12 +187,30 @@ def enumerate_semilattices_bruteforce(n: int, max_n: int = 7) -> list[Semilattic
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The set NCsl(n) of congruence-lattice sizes over all n-element semilattices."""
+    """The set NCsl(n) of congruence-lattice sizes over all n-element semilattices.
+
+    ``by_value`` maps each value to every canonical table attaining it, in
+    enumeration order; ``witnesses`` reports at most WITNESS_CAP of them per
+    value, and only when the spectrum was built with witnesses.
+    """
 
     n: int
-    values: tuple[int, ...]
-    witnesses: dict
-    witness_totals: dict
+    by_value: dict
+    with_witnesses: bool = False
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(sorted(self.by_value))
+
+    @property
+    def witness_totals(self) -> dict:
+        return {k: len(tables) for k, tables in self.by_value.items()}
+
+    @property
+    def witnesses(self) -> dict:
+        if not self.with_witnesses:
+            return {}
+        return {k: tables[:WITNESS_CAP] for k, tables in self.by_value.items()}
 
     def to_obj(self) -> dict:
         return {
@@ -213,46 +225,23 @@ class Spectrum:
 
 
 def spectrum(n: int, with_witnesses: bool = False, max_n: int | None = None) -> Spectrum:
-    """Exact congruence-count spectrum; witnesses are canonical tables.
-
-    Witness storage is capped at WITNESS_CAP per value; witness_totals
-    keeps the exact number of classes attaining each value.
-    """
-    tables = enumerate_semilattices(n, max_n=max_n)
-    witnesses: dict[int, list[SemilatticeTable]] = {}
-    totals: dict[int, int] = {}
-    for S in tables:
-        k = congruence_count(S)
-        totals[k] = totals.get(k, 0) + 1
-        if with_witnesses:
-            bucket = witnesses.setdefault(k, [])
-            if len(bucket) < WITNESS_CAP:
-                bucket.append(S)
-    return Spectrum(
-        n=n,
-        values=tuple(sorted(totals)),
-        witnesses={k: tuple(v) for k, v in witnesses.items()},
-        witness_totals=totals,
-    )
+    """Exact congruence-count spectrum, grouping the canonical tables by value."""
+    by_value: dict[int, list[SemilatticeTable]] = {}
+    for S in enumerate_semilattices(n, max_n=max_n):
+        by_value.setdefault(congruence_count(S), []).append(S)
+    return Spectrum(n, {k: tuple(v) for k, v in by_value.items()}, with_witnesses)
 
 
-def top_values(
-    n: int, count: int, max_n: int | None = None
-) -> list[tuple[int, set[SemilatticeClass]]]:
+def top_values(sp: Spectrum, count: int) -> list[tuple[int, set[SemilatticeClass]]]:
     """The ``count`` largest spectrum values with the classes of their witnesses.
 
     Classes are collected over every attaining semilattice, not only the
-    stored witnesses.
+    reported witnesses.
     """
-    tables = enumerate_semilattices(n, max_n=max_n)
-    by_count: dict[int, list[SemilatticeTable]] = {}
-    for S in tables:
-        by_count.setdefault(congruence_count(S), []).append(S)
-    values = sorted(by_count, reverse=True)
+    values = sp.values[::-1]
     if len(values) < count:
-        raise NotEnoughValues(f"only {len(values)} spectrum values at n={n}")
-    out = []
-    for value in values[:count]:
-        classes = {classify(S).semilattice_class for S in by_count[value]}
-        out.append((value, classes))
-    return out
+        raise NotEnoughValues(f"only {len(values)} spectrum values at n={sp.n}")
+    return [
+        (value, {classify(S).semilattice_class for S in sp.by_value[value]})
+        for value in values[:count]
+    ]

@@ -146,14 +146,6 @@ class PartialJoinStructure:
         return Partition(tuple(blocks))
 
 
-def count_join_closed_bruteforce(S: SemilatticeTable) -> int:
-    return PartialJoinStructure(S).count_bruteforce()
-
-
-def count_join_closed_ie(S: SemilatticeTable) -> int:
-    return PartialJoinStructure(S).count_inclusion_exclusion()
-
-
 def congruence_count(S: SemilatticeTable) -> int:
     """|Con(S)| computed on the subset side of the duality."""
     return PartialJoinStructure(S).count()

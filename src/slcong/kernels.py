@@ -1,24 +1,13 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection: compiled extension when available, pure Python otherwise."""
 
-Set SLCONG_PURE_KERNELS=1 to force the pure implementation (used by the
-benchmark and the differential tests).
-"""
+try:
+    from . import _kernels as _impl  # type: ignore[attr-defined]
 
-import os
-
-if os.environ.get("SLCONG_PURE_KERNELS") == "1":
+    IMPLEMENTATION = "compiled"
+except ImportError:
     from . import _kernels_py as _impl
 
     IMPLEMENTATION = "pure"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        IMPLEMENTATION = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl
-
-        IMPLEMENTATION = "pure"
 
 scan_join_closed = _impl.scan_join_closed
 list_join_closed = _impl.list_join_closed

@@ -76,16 +76,20 @@ def is_tree(S: SemilatticeTable) -> bool:
     return not S.ubtas.items
 
 
+def _nonsingleton_blocks(S: SemilatticeTable) -> tuple[Partition, list[tuple[int, ...]]]:
+    """The tree congruence and its nonsingleton blocks."""
+    tcon = tree_congruence(S)
+    return tcon, [b for b in tcon.blocks if len(b) > 1]
+
+
 def is_quasi_tree(S: SemilatticeTable) -> bool:
     """True iff the tree congruence has exactly one nonsingleton block."""
-    tcon = tree_congruence(S)
-    return sum(1 for b in tcon.blocks if len(b) > 1) == 1
+    return len(_nonsingleton_blocks(S)[1]) == 1
 
 
 def nucleus(S: SemilatticeTable) -> tuple[int, ...]:
     """The unique nonsingleton block of the tree congruence."""
-    tcon = tree_congruence(S)
-    big = [b for b in tcon.blocks if len(b) > 1]
+    big = _nonsingleton_blocks(S)[1]
     if len(big) != 1:
         raise NotQuasiTree(f"tree congruence has {len(big)} nonsingleton blocks")
     return big[0]
@@ -98,9 +102,10 @@ def nucleus_table(S: SemilatticeTable) -> SemilatticeTable:
 
 def skeleton(S: SemilatticeTable) -> SemilatticeTable:
     """The quotient by the tree congruence, which is always a tree."""
-    if not is_quasi_tree(S):
+    tcon, big = _nonsingleton_blocks(S)
+    if len(big) != 1:
         raise NotQuasiTree("semilattice is not a quasi-tree")
-    return quotient(S, tree_congruence(S))[0]
+    return quotient(S, tcon)[0]
 
 
 def convex_block_congruence_check(
@@ -174,21 +179,21 @@ def classify(S: SemilatticeTable) -> ClassificationReport:
     nuc: tuple[int, ...] | None = None
     skel: SemilatticeTable | None = None
     predicted: int | None = None
+    cls = SemilatticeClass.OTHER
     if is_tree(S):
         cls = SemilatticeClass.TREE
         predicted = 1 << (S.n - 1)
-    elif is_quasi_tree(S):
-        nuc = nucleus(S)
-        skel = skeleton(S)
-        nuc_table = S.subsemilattice(nuc)[0]
-        cls = SemilatticeClass.OTHER
-        for name, candidate in _NUCLEUS_NAMES:
-            if nuc_table.n == named(name).n and are_isomorphic(nuc_table, named(name)):
-                cls = candidate
-                predicted = scaled_threshold(_COEFFICIENT[candidate], S.n)
-                break
     else:
-        cls = SemilatticeClass.OTHER
+        tcon, big = _nonsingleton_blocks(S)
+        if len(big) == 1:
+            nuc = big[0]
+            skel = quotient(S, tcon)[0]
+            nuc_table = S.subsemilattice(nuc)[0]
+            for name, candidate in _NUCLEUS_NAMES:
+                if nuc_table.n == named(name).n and are_isomorphic(nuc_table, named(name)):
+                    cls = candidate
+                    predicted = scaled_threshold(_COEFFICIENT[candidate], S.n)
+                    break
     if predicted is not None and predicted != k:
         raise InternalInconsistency(
             f"class {cls.value} predicts {predicted} congruences, counted {k}"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from slcong.errors import (
     SemilatticeError,
     UnknownName,
 )
+from slcong.enumeration import enumerate_semilattices
 from slcong.joinsub import congruence_count
 
 
@@ -86,6 +88,76 @@ def test_nontopological_labels_accepted():
     table = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
     S = validate(table)
     assert S.leq(2, 1) and not S.leq(1, 2)
+
+
+def _scan_validate(table):
+    """Reference checker for idempotent commutative tables: the full
+    row-major associativity scan, then the least-element check."""
+    rng = range(len(table))
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return NotAssociative(x, y, z)
+    for x in rng:
+        if table[0][x] != 0:
+            return NoLeastAtZero(x)
+    return None
+
+
+def _idempotent_commutative(n, entries):
+    table = [[x if x == y else None for y in range(n)] for x in range(n)]
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    for (x, y), v in zip(pairs, entries):
+        table[x][y] = table[y][x] = v
+    return table
+
+
+def _assert_validate_matches_scan(table):
+    expected = _scan_validate(table)
+    if expected is None:
+        assert validate(table).meet == tuple(map(tuple, table))
+        return
+    with pytest.raises(type(expected)) as exc:
+        validate(table)
+    assert exc.value.args == expected.args
+    assert getattr(exc.value, "triple", None) == getattr(expected, "triple", None)
+    assert getattr(exc.value, "element", None) == getattr(expected, "element", None)
+
+
+def test_validate_matches_triple_scan_exhaustive():
+    accepted = 0
+    for n in range(1, 5):
+        for entries in itertools.product(range(n), repeat=n * (n - 1) // 2):
+            table = _idempotent_commutative(n, entries)
+            _assert_validate_matches_scan(table)
+            accepted += _scan_validate(table) is None
+    # below n = 5 every labeled poset on 1..n-1 with 0 added below is a meet
+    # semilattice: 1 + 1 + 3 + 19 labeled posets on 0, 1, 2, 3 elements
+    assert accepted == 24
+
+
+def test_validate_matches_triple_scan_random():
+    rng = random.Random(0xA55C)
+    for n in range(5, 8):
+        for _ in range(2000):
+            entries = [rng.randrange(n) for _ in range(n * (n - 1) // 2)]
+            _assert_validate_matches_scan(_idempotent_commutative(n, entries))
+
+
+def test_validate_accepts_relabeled_semilattices():
+    rng = random.Random(0x0BAD)
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            T = S.relabel([0] + rest)
+            assert validate([list(row) for row in T.meet]).meet == T.meet
+            # moving 0 as well is still associative, so the scan names the
+            # same least-element violation
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_validate_matches_scan([list(row) for row in S.relabel(perm).meet])
 
 
 # --- order, joins, ubtas ----------------------------------------------------

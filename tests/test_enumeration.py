@@ -125,7 +125,7 @@ def test_spectrum_json_shape():
 
 
 def test_top_values_n6():
-    top = top_values(6, 4)
+    top = top_values(spectrum(6), 4)
     assert [(v, sorted(c.value for c in classes)) for v, classes in top] == [
         (32, ["Tree"]),
         (28, ["NucleusB4"]),
@@ -135,7 +135,7 @@ def test_top_values_n6():
 
 
 def test_top_values_n8():
-    top = top_values(8, 4)
+    top = top_values(spectrum(8), 4)
     assert [(v, sorted(c.value for c in classes)) for v, classes in top] == [
         (128, ["Tree"]),
         (112, ["NucleusB4"]),
@@ -145,7 +145,7 @@ def test_top_values_n8():
 
 
 def test_top_values_n5():
-    top = top_values(5, 4)
+    top = top_values(spectrum(5), 4)
     assert [(v, {c.value for c in classes}) for v, classes in top] == [
         (16, {"Tree"}),
         (14, {"NucleusB4"}),
@@ -156,6 +156,6 @@ def test_top_values_n5():
 
 def test_top_values_not_enough():
     with pytest.raises(NotEnoughValues):
-        top_values(3, 4)
+        top_values(spectrum(3), 4)
     with pytest.raises(NotEnoughValues):
-        top_values(4, 3)
+        top_values(spectrum(4), 3)

@@ -173,6 +173,9 @@ def test_classify_report_invariants():
             report = classify(S)
             assert (report.nucleus is not None) == is_quasi_tree(S)
             assert (report.skeleton is not None) == is_quasi_tree(S)
+            if report.nucleus is not None:
+                assert report.nucleus == nucleus(S)
+                assert report.skeleton == skeleton(S)
             if report.semilattice_class != SemilatticeClass.OTHER:
                 assert report.congruence_count == report.predicted_count
             assert report.ubta_count == S.ubtas.t
