@@ -112,7 +112,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    sp = enumeration.spectrum(args.n, with_witnesses=args.witnesses, max_n=args.max_n)
+    sp = enumeration.spectrum(args.n, max_n=args.max_n)
     top = None
     if args.top is not None:
         top = enumeration.top_values(sp, args.top)

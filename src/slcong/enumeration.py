@@ -191,12 +191,11 @@ class Spectrum:
 
     ``by_value`` maps each value to every canonical table attaining it, in
     enumeration order; ``witnesses`` reports at most WITNESS_CAP of them per
-    value, and only when the spectrum was built with witnesses.
+    value.
     """
 
     n: int
     by_value: dict
-    with_witnesses: bool = False
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -208,8 +207,6 @@ class Spectrum:
 
     @property
     def witnesses(self) -> dict:
-        if not self.with_witnesses:
-            return {}
         return {k: tables[:WITNESS_CAP] for k, tables in self.by_value.items()}
 
     def to_obj(self) -> dict:
@@ -224,12 +221,12 @@ class Spectrum:
         }
 
 
-def spectrum(n: int, with_witnesses: bool = False, max_n: int | None = None) -> Spectrum:
+def spectrum(n: int, max_n: int | None = None) -> Spectrum:
     """Exact congruence-count spectrum, grouping the canonical tables by value."""
     by_value: dict[int, list[SemilatticeTable]] = {}
     for S in enumerate_semilattices(n, max_n=max_n):
         by_value.setdefault(congruence_count(S), []).append(S)
-    return Spectrum(n, {k: tuple(v) for k, v in by_value.items()}, with_witnesses)
+    return Spectrum(n, {k: tuple(v) for k, v in by_value.items()})
 
 
 def top_values(sp: Spectrum, count: int) -> list[tuple[int, set[SemilatticeClass]]]:

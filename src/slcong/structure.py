@@ -76,23 +76,27 @@ def is_tree(S: SemilatticeTable) -> bool:
     return not S.ubtas.items
 
 
-def _nonsingleton_blocks(S: SemilatticeTable) -> tuple[Partition, list[tuple[int, ...]]]:
-    """The tree congruence and its nonsingleton blocks."""
+def _quasi_tree_parts(S: SemilatticeTable) -> tuple[tuple[int, ...], SemilatticeTable]:
+    """The nucleus and skeleton of a quasi-tree; raises NotQuasiTree otherwise."""
     tcon = tree_congruence(S)
-    return tcon, [b for b in tcon.blocks if len(b) > 1]
+    big = [b for b in tcon.blocks if len(b) > 1]
+    if len(big) != 1:
+        raise NotQuasiTree(f"tree congruence has {len(big)} nonsingleton blocks")
+    return big[0], quotient(S, tcon)[0]
 
 
 def is_quasi_tree(S: SemilatticeTable) -> bool:
     """True iff the tree congruence has exactly one nonsingleton block."""
-    return len(_nonsingleton_blocks(S)[1]) == 1
+    try:
+        _quasi_tree_parts(S)
+    except NotQuasiTree:
+        return False
+    return True
 
 
 def nucleus(S: SemilatticeTable) -> tuple[int, ...]:
     """The unique nonsingleton block of the tree congruence."""
-    big = _nonsingleton_blocks(S)[1]
-    if len(big) != 1:
-        raise NotQuasiTree(f"tree congruence has {len(big)} nonsingleton blocks")
-    return big[0]
+    return _quasi_tree_parts(S)[0]
 
 
 def nucleus_table(S: SemilatticeTable) -> SemilatticeTable:
@@ -102,10 +106,7 @@ def nucleus_table(S: SemilatticeTable) -> SemilatticeTable:
 
 def skeleton(S: SemilatticeTable) -> SemilatticeTable:
     """The quotient by the tree congruence, which is always a tree."""
-    tcon, big = _nonsingleton_blocks(S)
-    if len(big) != 1:
-        raise NotQuasiTree("semilattice is not a quasi-tree")
-    return quotient(S, tcon)[0]
+    return _quasi_tree_parts(S)[1]
 
 
 def convex_block_congruence_check(
@@ -184,10 +185,11 @@ def classify(S: SemilatticeTable) -> ClassificationReport:
         cls = SemilatticeClass.TREE
         predicted = 1 << (S.n - 1)
     else:
-        tcon, big = _nonsingleton_blocks(S)
-        if len(big) == 1:
-            nuc = big[0]
-            skel = quotient(S, tcon)[0]
+        try:
+            nuc, skel = _quasi_tree_parts(S)
+        except NotQuasiTree:
+            pass
+        else:
             nuc_table = S.subsemilattice(nuc)[0]
             for name, candidate in _NUCLEUS_NAMES:
                 if nuc_table.n == named(name).n and are_isomorphic(nuc_table, named(name)):

@@ -74,7 +74,7 @@ def claim_small_spectra(max_n: int = 5) -> str:
     for n, values in expected.items():
         if n > max_n:
             continue
-        sp = spectrum(n, with_witnesses=(n == 5))
+        sp = spectrum(n)
         assert set(sp.values) == values, f"NCsl({n}) = {sorted(sp.values)}, expected {sorted(values)}"
         checked.append(n)
         if n == 5:

@@ -100,7 +100,7 @@ def test_spectrum_small_values():
 
 
 def test_spectrum_witnesses_recount():
-    sp = spectrum(5, with_witnesses=True)
+    sp = spectrum(5)
     assert sum(sp.witness_totals.values()) == 15
     for value, tables in sp.witnesses.items():
         assert len(tables) <= WITNESS_CAP
@@ -110,12 +110,12 @@ def test_spectrum_witnesses_recount():
 
 
 def test_spectrum_m3_witnesses_twelve():
-    sp = spectrum(5, with_witnesses=True)
+    sp = spectrum(5)
     assert any(are_isomorphic(S, named("m3")) for S in sp.witnesses[12])
 
 
 def test_spectrum_json_shape():
-    obj = spectrum(4, with_witnesses=True).to_obj()
+    obj = spectrum(4).to_obj()
     assert obj["values"] == [7, 8]
     assert obj["witness_totals"] == {"7": 1, "8": 4}
     assert len(obj["witnesses"]["7"]) == 1
