@@ -73,6 +73,8 @@ def cmd_count(args) -> int:
     table = _load_table(args.table)
     pj = joinsub.PartialJoinStructure(table)
     counts = {}
+    if args.method is None:
+        counts[pj.route()] = pj.count()
     if args.method in ("congruences", "all"):
         counts["congruences"] = len(congruences.all_meet_congruences(table))
     if args.method in ("subsets", "all"):
@@ -232,7 +234,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="count congruences / join-closed subsets")
     p.add_argument("table")
-    p.add_argument("--method", choices=_COUNT_METHODS, default="subsets")
+    p.add_argument(
+        "--method",
+        choices=_COUNT_METHODS,
+        default=None,
+        help="counting route (default: incl-excl or subsets, whichever is cheaper)",
+    )
     add_format(p)
     p.set_defaults(func=cmd_count)
 

@@ -1,9 +1,10 @@
 """Congruences as partitions: recognition, enumeration, quotients.
 
 A congruence of a meet semilattice is an equivalence relation compatible
-with the meet; its blocks are convex and meet-closed.  Partitions are
-stored in a fixed normal form (blocks ascending, ordered by smallest
-member) so congruence lists are reproducible.
+with the meet; its blocks are convex and meet-closed.  A partition is
+stored only as its dense first-occurrence block ids, the form the closure
+kernel returns, so each partition has one representation and congruence
+lists are reproducible.
 """
 
 from __future__ import annotations
@@ -18,73 +19,72 @@ from .errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of {0..n-1} into blocks."""
+    """A partition of {0..n-1} as dense first-occurrence block ids.
 
-    blocks: tuple[tuple[int, ...], ...]
+    ``block_id[x]`` is the block of x, and blocks are numbered in the order
+    of their least members.  ``blocks`` lists them in that order, each
+    ascending.
+    """
+
+    block_id: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self.block_id)
 
     @cached_property
-    def block_id(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = i
-        return tuple(out)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        out = [[] for _ in range(self.num_blocks)]
+        for x, b in enumerate(self.block_id):
+            out[b].append(x)
+        return tuple(map(tuple, out))
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return max(self.block_id, default=-1) + 1
 
     def relates(self, x: int, y: int) -> bool:
         return self.block_id[x] == self.block_id[y]
 
     def refines(self, other: "Partition") -> bool:
         """True iff self <= other as relations (every self-block is inside an other-block)."""
-        oid = other.block_id
-        return all(len({oid[x] for x in block}) == 1 for block in self.blocks)
+        image: dict[int, int] = {}
+        return all(image.setdefault(b, o) == o for b, o in zip(self.block_id, other.block_id))
 
     def is_identity(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
+        return self.num_blocks == self.n
 
     def to_obj(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
 
     @classmethod
     def from_block_id(cls, ids) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for x, b in enumerate(ids):
-            groups.setdefault(b, []).append(x)
-        blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-        return cls(tuple(blocks))
+        """The partition whose blocks are the classes of equal labels in ``ids``."""
+        renumber: dict = {}
+        return cls(tuple(renumber.setdefault(b, len(renumber)) for b in ids))
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
-        seen = [False] * n
-        norm = []
-        for block in blocks:
+        ids = [-1] * n
+        for i, block in enumerate(blocks):
             members = sorted(block)
             if not members:
                 raise SizeMismatch("empty block")
             for x in members:
-                if not 0 <= x < n or seen[x]:
+                if not 0 <= x < n or ids[x] >= 0:
                     raise SizeMismatch(f"element {x} repeated or out of range")
-                seen[x] = True
-            norm.append(tuple(members))
-        if not all(seen):
+                ids[x] = i
+        if -1 in ids:
             raise SizeMismatch("blocks do not cover {0..n-1}")
-        norm.sort(key=lambda b: b[0])
-        return cls(tuple(norm))
+        return cls.from_block_id(ids)
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
-        return cls(tuple((x,) for x in range(n)))
+        return cls(tuple(range(n)))
 
     @classmethod
     def single_block(cls, n: int) -> "Partition":
-        return cls((tuple(range(n)),))
+        return cls((0,) * n)
 
 
 def _sort_key(P: Partition):
@@ -106,8 +106,7 @@ def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
             raise SizeMismatch(f"pair ({x},{y}) out of range")
         flat.append(x)
         flat.append(y)
-    ids = kernels.congruence_closure(S.n, S.meet_flat, flat)
-    return Partition.from_block_id(ids)
+    return Partition(tuple(kernels.congruence_closure(S.n, S.meet_flat, flat)))
 
 
 def all_meet_congruences(S: SemilatticeTable, max_n: int = 10) -> list[Partition]:
@@ -149,7 +148,7 @@ def all_meet_congruences(S: SemilatticeTable, max_n: int = 10) -> list[Partition
                 if joined not in found:
                     found.add(joined)
                     work.append(joined)
-    return sorted(map(Partition.from_block_id, found), key=_sort_key)
+    return sorted(map(Partition, found), key=_sort_key)
 
 
 def _set_partition_ids(n: int):
@@ -176,11 +175,7 @@ def all_meet_congruences_bruteforce(S: SemilatticeTable, max_n: int = 8) -> list
         raise TooLarge(f"n={S.n} exceeds bound {max_n}")
     n = S.n
     flat = S.meet_flat
-    out = [
-        Partition.from_block_id(ids)
-        for ids in _set_partition_ids(n)
-        if kernels.op_compatible(n, flat, ids)
-    ]
+    out = [Partition(ids) for ids in _set_partition_ids(n) if kernels.op_compatible(n, flat, ids)]
     return sorted(out, key=_sort_key)
 
 

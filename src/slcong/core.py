@@ -412,46 +412,31 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 # ---------------------------------------------------------------------------
 # Isomorphism and canonical forms.
 #
-# Elements are first partitioned by an iterated invariant refinement (seeded
-# with down-set size, up-set size and an optional mark bit, then refined by
-# the multiset of (color(z), color(x^z)) pairs).  The refinement is shared
-# between tables so color ids are comparable across them.  Because the first
-# seed component is the down-set size, color order is a linear extension:
-# anything strictly below x gets a strictly smaller color than x.
+# The canonical search first partitions the elements by an iterated
+# invariant refinement (seeded with down-set size, up-set size and an
+# optional mark bit, then refined by the multiset of (color(z), color(x^z))
+# pairs).  The isomorphism oracle colors by (down-set size, up-set size)
+# alone, so it shares no refinement with the canonical search.  Because the
+# first component is the down-set size in both, color order is a linear
+# extension: anything strictly below x gets a strictly smaller color than x.
 # ---------------------------------------------------------------------------
 
 
-def _refine(tables: list[SemilatticeTable], marks: list[int]) -> list[list[int]]:
-    keys = []
-    for S, mk in zip(tables, marks):
-        bm, am = S.below_mask, S.above_mask
-        keys.append(
-            [
-                (bm[x].bit_count(), am[x].bit_count(), (mk >> x) & 1)
-                for x in range(S.n)
-            ]
-        )
-    uniq = sorted({k for ks in keys for k in ks})
-    index = {k: i for i, k in enumerate(uniq)}
-    color = [[index[k] for k in ks] for ks in keys]
-    nclasses = len(uniq)
+def _refine(S: SemilatticeTable, marks: int = 0) -> list[int]:
+    meet = S.meet
+    rng = range(S.n)
+    bm, am = S.below_mask, S.above_mask
+    keys = [(bm[x].bit_count(), am[x].bit_count(), (marks >> x) & 1) for x in rng]
     while True:
-        sigs = []
-        for S, col in zip(tables, color):
-            meet = S.meet
-            rng = range(S.n)
-            sigs.append(
-                [
-                    (col[x], tuple(sorted((col[z], col[meet[x][z]]) for z in rng)))
-                    for x in rng
-                ]
-            )
-        uniq = sorted({s for ss in sigs for s in ss})
-        if len(uniq) == nclasses:
+        uniq = sorted(set(keys))
+        index = {k: i for i, k in enumerate(uniq)}
+        color = [index[k] for k in keys]
+        keys = [
+            (color[x], tuple(sorted((color[z], color[meet[x][z]]) for z in rng)))
+            for x in rng
+        ]
+        if len(set(keys)) == len(uniq):
             return color
-        index = {s: i for i, s in enumerate(uniq)}
-        color = [[index[s] for s in ss] for ss in sigs]
-        nclasses = len(uniq)
 
 
 def _swap_is_automorphism(S: SemilatticeTable, x: int, y: int) -> bool:
@@ -478,7 +463,7 @@ def _canonical_search(S: SemilatticeTable, marks: int = 0):
     """
     n = S.n
     meet = S.meet
-    color = _refine([S], [marks])[0]
+    color = _refine(S, marks)
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(color[x], []).append(x)
@@ -578,11 +563,14 @@ def _iso_search(S1: SemilatticeTable, S2: SemilatticeTable):
     if S1.n != S2.n:
         return None
     n = S1.n
-    c1, c2 = _refine([S1, S2], [0, 0])
+    c1, c2 = (
+        [(d.bit_count(), u.bit_count()) for d, u in zip(S.below_mask, S.above_mask)]
+        for S in (S1, S2)
+    )
     if sorted(c1) != sorted(c2):
         return None
     order = sorted(range(n), key=lambda x: (c1[x], x))
-    pools: dict[int, list[int]] = {}
+    pools: dict[tuple[int, int], list[int]] = {}
     for y in range(n):
         pools.setdefault(c2[y], []).append(y)
     phi = [-1] * n

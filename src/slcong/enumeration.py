@@ -86,7 +86,7 @@ def _accepted_canonical(child: SemilatticeTable) -> SemilatticeTable | None:
     z = K.n - 1
     if p_new == z:
         return K
-    colors = _refine([K], [0])[0]
+    colors = _refine(K)
     if colors[p_new] != colors[z]:
         return None
     if canonical_key(K, 1 << p_new) == canonical_key(K, 1 << z):
@@ -235,6 +235,8 @@ def top_values(sp: Spectrum, count: int) -> list[tuple[int, set[SemilatticeClass
     Classes are collected over every attaining semilattice, not only the
     reported witnesses.
     """
+    if count < 1:
+        raise TooLarge(f"top count must be at least 1, got {count}")
     values = sp.values[::-1]
     if len(values) < count:
         raise NotEnoughValues(f"only {len(values)} spectrum values at n={sp.n}")

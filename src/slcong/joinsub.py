@@ -115,16 +115,27 @@ class PartialJoinStructure:
             total += -term if sub.bit_count() & 1 else term
         return total
 
-    def count(self) -> int:
-        """Exact |Sub(S+)| via whichever route is cheaper for this instance."""
+    def route(self) -> str:
+        """The counting route ``count`` takes: "incl-excl" or "subsets".
+
+        Inclusion-exclusion when its 2^t terms cost no more than the
+        2^(n-1)-subset scan or the scan is out of bounds; raises TooLarge
+        when both routes are.
+        """
         t = self.host.ubtas.t
         ie_ok = t <= INCLUSION_EXCLUSION_MAX_T
         bf_ok = self.n <= BRUTE_FORCE_MAX_N
         if ie_ok and (not bf_ok or (1 << t) * max(t, 1) <= (1 << (self.n - 1))):
-            return self.count_inclusion_exclusion()
+            return "incl-excl"
         if bf_ok:
-            return self.count_bruteforce()
+            return "subsets"
         raise TooLarge(f"n={self.n}, t={t} exceed both counting bounds")
+
+    def count(self) -> int:
+        """Exact |Sub(S+)| along the route named by ``route``."""
+        if self.route() == "incl-excl":
+            return self.count_inclusion_exclusion()
+        return self.count_bruteforce()
 
     def dual_congruence(self, elements) -> Partition:
         """The congruence dual to the join-closed subset X.
@@ -138,12 +149,7 @@ class PartialJoinStructure:
 
     def _dual_of_mask(self, mask: int) -> Partition:
         full = mask << 1  # back to element bits
-        below = self.host.below_mask
-        groups: dict[int, list[int]] = {}
-        for x in range(self.n):
-            groups.setdefault(full & below[x], []).append(x)
-        blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-        return Partition(tuple(blocks))
+        return Partition.from_block_id([full & below for below in self.host.below_mask])
 
 
 def congruence_count(S: SemilatticeTable) -> int:
@@ -195,16 +201,16 @@ def verify_duality(S: SemilatticeTable, max_n: int = 8) -> DualityReport:
     pj = PartialJoinStructure(S)
     masks = pj.join_closed_masks()
     duals = [pj._dual_of_mask(m) for m in masks]
-    seen: dict[tuple, int] = {}
+    seen: dict[Partition, int] = {}
     for m, d in zip(masks, duals):
-        prev = seen.get(d.blocks)
+        prev = seen.get(d)
         if prev is not None:
             raise DualityViolation(f"subsets {prev:b} and {m:b} share a dual")
-        seen[d.blocks] = m
+        seen[d] = m
         if not is_meet_congruence(S, d):
             raise DualityViolation(f"dual of {m:b} is not a congruence")
     cons = all_meet_congruences(S)
-    if {P.blocks for P in cons} != set(seen):
+    if set(cons) != set(seen):
         raise DualityViolation("dual image differs from the congruence set")
     relations = [_relation_mask(d) for d in duals]
     for mi, ri in zip(masks, relations):

@@ -82,9 +82,17 @@ def test_count_thirteen_element_fixture(tmp_path, capsys):
     obj = extend_below(named("n6"), 7).to_obj()
     path = tmp_path / "big_n6.json"
     path.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "count", str(path), "--format=json")
+    code, out, _ = run(capsys, "count", str(path), "--method=subsets", "--format=json")
     assert code == 0
     assert json.loads(out)["counts"]["subsets"] == 3200
+
+
+def test_count_default_route_beyond_subset_bound(capsys):
+    code, out, _ = run(capsys, "count", "chain_30", "--format=json")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"incl-excl": 1 << 29}
+    code, out, _ = run(capsys, "count", "chain_30")
+    assert code == 0 and out == f"incl-excl: {1 << 29} = 32*2^(30-6)\n"
 
 
 def test_count_json_all(capsys):
@@ -139,6 +147,13 @@ def test_spectrum_top(capsys):
     payload = json.loads(out)
     assert payload["top"][0] == {"value": 32, "classes": ["Tree"]}
     assert payload["top"][3] == {"value": 25, "classes": ["NucleusF", "NucleusN6"]}
+
+
+@pytest.mark.parametrize("top", ["-1", "0"])
+def test_spectrum_top_below_one_exits_two(capsys, top):
+    code, out, err = run(capsys, "spectrum", "5", "--top", top)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "at least 1" in err
 
 
 def test_spectrum_byte_stable(capsys):
@@ -200,6 +215,13 @@ def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "4", "--format=json")
     payload = json.loads(out)
     assert code == 0 and payload["passed"] is True
+
+
+@pytest.mark.parametrize("n_max", ["0", "1"])
+def test_verify_below_two_exits_two(capsys, n_max):
+    code, out, err = run(capsys, "verify", n_max)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "at least 2" in err
 
 
 def test_verify_seven_all_claims_pass(capsys):

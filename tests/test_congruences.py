@@ -40,6 +40,18 @@ def test_partition_normal_form():
     assert P.blocks == ((0, 2), (1, 3))
     assert P.block_id == (0, 1, 0, 1)
     assert Partition.from_block_id(P.block_id).blocks == P.blocks
+    Q = Partition.from_block_id([5, 3, 5, 7])
+    assert Q.block_id == (0, 1, 0, 2) and Q.blocks == ((0, 2), (1,), (3,))
+    assert (Q.n, Q.num_blocks) == (4, 3)
+    for blocks in ([[3, 1], [2, 0]], [[2], [0, 3], [1]], [[0, 1, 2, 3]], [[3], [2], [1], [0]]):
+        R = Partition.from_blocks(4, blocks)
+        same = Partition.from_block_id(R.block_id)
+        assert same == R and hash(same) == hash(R)
+        assert Partition.from_blocks(4, R.blocks) == R
+        assert sorted(map(sorted, blocks)) == sorted(map(list, R.blocks))
+    relabeled = Partition.from_block_id("abab")
+    assert relabeled == P and hash(relabeled) == hash(P)
+    assert Partition.from_block_id([]).blocks == () and Partition.identity(0).num_blocks == 0
 
 
 def test_partition_from_blocks_errors():

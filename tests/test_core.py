@@ -334,6 +334,20 @@ def test_fifteen_distinct_canonical_tables_at_n5():
     assert len(reps) == len(keys) == 15
 
 
+def test_isomorphism_oracle_runs_without_the_canonical_refinement(monkeypatch):
+    from slcong import core
+    from slcong.enumeration import enumerate_semilattices_bruteforce
+
+    def refine(*args, **kwargs):
+        raise AssertionError("the isomorphism oracle ran the canonical refinement")
+
+    monkeypatch.setattr(core, "_refine", refine)
+    n5 = named("n5")
+    assert are_isomorphic(n5, n5.relabel([0, 3, 1, 4, 2]))
+    assert not are_isomorphic(n5, named("m3"))
+    assert len(enumerate_semilattices_bruteforce(5)) == 15
+
+
 # --- named catalog ------------------------------------------------------------
 
 

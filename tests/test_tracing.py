@@ -1,0 +1,44 @@
+"""The benchmark's per-layer tracer (perfbench/spans.py) still binds to the package.
+
+The tracer wraps package functions by name, so renaming or removing a traced
+function breaks ``perfbench/run.py --trace 1``; this test notices it first.
+"""
+
+import importlib.util
+import os
+
+import slcong.cli
+from slcong import congruences, joinsub
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS = os.path.join(ROOT, "perfbench", "spans.py")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_counts_and_uninstalls(capsys):
+    spans = _load_spans()
+    count = joinsub.PartialJoinStructure.__dict__["count"]
+    enumerate_congruences = congruences.all_meet_congruences
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert joinsub.PartialJoinStructure.__dict__["count"] is not count
+        assert congruences.all_meet_congruences is not enumerate_congruences
+        assert slcong.cli.main(["count", "b4"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "incl-excl: 7 = 28*2^(4-6)\n"
+    metrics = tracer.metrics()
+    assert set(metrics) == set(spans.METRICS)
+    assert metrics["cli.self_s"][0] > 0
+    assert metrics["joinsub.count.calls"][0] == 1
+    assert metrics["joinsub.route.inclusion_exclusion"][0] == 1
+    assert metrics["joinsub.route.bruteforce"][0] == 0
+    assert joinsub.PartialJoinStructure.__dict__["count"] is count
+    assert congruences.all_meet_congruences is enumerate_congruences
