@@ -419,6 +419,14 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 # alone, so it shares no refinement with the canonical search.  Because the
 # first component is the down-set size in both, color order is a linear
 # extension: anything strictly below x gets a strictly smaller color than x.
+#
+# Besides the canonical certificate, the search returns generators of the
+# automorphism group of (S, marks): every transposition it merges into an
+# interchangeability class, and best⁻¹ ∘ pos_of for every leaf whose
+# certificate equals the best one.  Bounding never cuts a leaf of the least
+# certificate, and a leaf skipped for an interchangeable element is the
+# image of a visited one under a product of merged transpositions, so
+# together these generate the whole group.
 # ---------------------------------------------------------------------------
 
 
@@ -454,16 +462,19 @@ def _swap_is_automorphism(S: SemilatticeTable, x: int, y: int) -> bool:
     return True
 
 
-def _canonical_search(S: SemilatticeTable, marks: int = 0):
+def _canonical_search(S: SemilatticeTable, marks: int = 0, colors: list[int] | None = None):
     """Lexicographically least relabeling consistent with the color classes.
 
-    Returns (rows, perm): rows is the canonical certificate (row p holds the
-    mark bit of the element placed at p followed by the positions of its
-    meets with positions 0..p-1) and perm maps element -> position.
+    Returns (rows, perm, generators): rows is the canonical certificate (row
+    p holds the mark bit of the element placed at p followed by the positions
+    of its meets with positions 0..p-1), perm maps element -> position, and
+    generators are automorphisms of (S, marks), each a list g with g[x] the
+    image of x, that generate the whole automorphism group.  ``colors`` is
+    ``_refine(S, marks)`` when the caller already has it.
     """
     n = S.n
     meet = S.meet
-    color = _refine(S, marks)
+    color = _refine(S, marks) if colors is None else colors
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(color[x], []).append(x)
@@ -475,6 +486,7 @@ def _canonical_search(S: SemilatticeTable, marks: int = 0):
     # interchangeability: one search branch per orbit of transposition
     # automorphisms inside a class
     group = list(range(n))
+    generators: list[list[int]] = []
 
     def find(v: int) -> int:
         while group[v] != v:
@@ -486,15 +498,17 @@ def _canonical_search(S: SemilatticeTable, marks: int = 0):
         elems = members[c]
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
-                if find(elems[i]) != find(elems[j]) and _swap_is_automorphism(
-                    S, elems[i], elems[j]
-                ):
-                    group[find(elems[j])] = find(elems[i])
+                a, b = elems[i], elems[j]
+                if find(a) != find(b) and _swap_is_automorphism(S, a, b):
+                    group[find(b)] = find(a)
+                    swap = list(range(n))
+                    swap[a], swap[b] = b, a
+                    generators.append(swap)
 
     pos_of = [-1] * n
     chosen = [-1] * n
     rows: list = [None] * n
-    best: dict = {"rows": None, "perm": None}
+    best: dict = {"rows": None, "perm": None, "chosen": None}
 
     def rec(p: int) -> None:
         if p == n:
@@ -502,6 +516,10 @@ def _canonical_search(S: SemilatticeTable, marks: int = 0):
             if best["rows"] is None or cur < best["rows"]:
                 best["rows"] = cur
                 best["perm"] = pos_of.copy()
+                best["chosen"] = chosen.copy()
+            elif cur == best["rows"]:
+                at = best["chosen"]
+                generators.append([at[q] for q in pos_of])
             return
         prefix_tight = best["rows"] is not None and all(
             rows[j] == best["rows"][j] for j in range(p)
@@ -533,17 +551,33 @@ def _canonical_search(S: SemilatticeTable, marks: int = 0):
             rows[p] = None
 
     rec(0)
-    return best["rows"], best["perm"]
+    return best["rows"], best["perm"], generators
 
 
 def canonical_key(S: SemilatticeTable, marks: int = 0):
     """Hashable canonical certificate of (S, marked subset)."""
-    rows, _ = _canonical_search(S, marks)
-    return rows
+    return _canonical_search(S, marks)[0]
 
 
-def canonical_with_perm(S: SemilatticeTable) -> tuple[SemilatticeTable, list[int]]:
-    rows, perm = _canonical_search(S)
+def automorphism_generators(
+    S: SemilatticeTable, colors: list[int] | None = None
+) -> list[list[int]]:
+    """Generators of Aut(S), each a list g with g[x] the image of x.
+
+    Empty when the group is trivial.  ``colors`` is ``_refine(S)`` when the
+    caller already has it.
+    """
+    return _canonical_search(S, colors=colors)[2]
+
+
+def canonical_with_perm(
+    S: SemilatticeTable, colors: list[int] | None = None
+) -> tuple[SemilatticeTable, list[int]]:
+    """Canonical form of S and the map element -> position into it.
+
+    ``colors`` is ``_refine(S)`` when the caller already has it.
+    """
+    rows, perm, _ = _canonical_search(S, colors=colors)
     n = S.n
     table = [[0] * n for _ in range(n)]
     for p in range(n):

@@ -3,11 +3,17 @@
 Every n-element meet semilattice arises from an (n-1)-element one by
 adding a new maximal element whose down-set is a join-closed order ideal,
 because deleting any maximal element leaves a meet subsemilattice.  The
-generator walks this tree with canonical augmentation: ideals are expanded
-one per automorphism orbit of the parent, and a child is kept only when
-its new element lands in the same orbit as a fixed deletion target of the
-child's canonical form.  Each isomorphism class is therefore produced
-exactly once, with no cross-parent deduplication.
+generator walks this tree with canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): ideals are expanded one per
+automorphism orbit of the parent, and a child is kept only when its new
+element lands in the same orbit as a fixed deletion target of the child's
+canonical form.  Each isomorphism class is therefore produced exactly once,
+with no cross-parent deduplication.
+
+Each parent gets one canonical search, whose automorphism generators split
+its ideals into orbits.  A child is first tested by its refinement color,
+which rejects it without a search when its new element cannot reach the
+deletion target; only the children that pass get a canonical search.
 
 ``enumerate_semilattices_bruteforce`` is the independent oracle: plain
 backtracking over labeled order extensions followed by isomorphism
@@ -23,7 +29,7 @@ from .core import (
     _bits,
     _refine,
     are_isomorphic,
-    canonical_key,
+    automorphism_generators,
     canonical_with_perm,
     validate,
 )
@@ -77,21 +83,63 @@ def _extend(S: SemilatticeTable, ideal_mask: int) -> SemilatticeTable:
     return SemilatticeTable(tuple(rows))
 
 
+def _mask_orbit(mask: int, images: list[list[int]]) -> set[int]:
+    """The orbit of a subset (a bitmask) under the group spanned by some
+    automorphisms, each given by its image table [1 << g[x] for x]."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        cur = todo.pop()
+        for image in images:
+            img = 0
+            for x in _bits(cur):
+                img |= image[x]
+            if img not in orbit:
+                orbit.add(img)
+                todo.append(img)
+    return orbit
+
+
+def _orbit_representatives(S: SemilatticeTable) -> list[int]:
+    """The least join-closed down-set of each Aut(S)-orbit, ascending, from
+    the automorphism generators of one canonical search of S."""
+    masks = _joinclosed_downset_masks(S)
+    generators = automorphism_generators(S)
+    if not generators:
+        return masks
+    images = [[1 << y for y in g] for g in generators]
+    seen: set[int] = set()
+    reps = []
+    for mask in masks:  # ascending, so the first mask met of an orbit is its least
+        if mask not in seen:
+            reps.append(mask)
+            seen |= _mask_orbit(mask, images)
+    return reps
+
+
 def _accepted_canonical(child: SemilatticeTable) -> SemilatticeTable | None:
     """Canonical-augmentation test: keep the child iff its new element is in
-    the automorphism orbit of the deletion target (the last position of the
-    canonical form, which is always maximal)."""
-    K, perm = canonical_with_perm(child)
-    p_new = perm[child.n - 1]
-    z = K.n - 1
-    if p_new == z:
-        return K
-    colors = _refine(K)
-    if colors[p_new] != colors[z]:
+    the automorphism orbit of the deletion target, the element placed last in
+    the canonical form (always maximal).
+
+    The canonical form orders positions by refinement color, so the target
+    lies in the largest color class; colors are invariant under
+    automorphisms, so a new element of any other color is rejected before
+    the search, and the search reuses the colors of a child that passes.
+    When the new element is not itself the target, a second search gives the
+    child's automorphism generators for the orbit test; no child generated
+    up to n = 9 needs it.
+    """
+    n = child.n
+    colors = _refine(child)
+    if colors[n - 1] != max(colors):
         return None
-    if canonical_key(K, 1 << p_new) == canonical_key(K, 1 << z):
+    K, perm = canonical_with_perm(child, colors)
+    if perm[n - 1] == n - 1:
         return K
-    return None
+    images = [[1 << y for y in g] for g in automorphism_generators(child, colors)]
+    target = perm.index(n - 1)
+    return K if 1 << target in _mask_orbit(1 << (n - 1), images) else None
 
 
 _levels: dict[int, tuple[SemilatticeTable, ...]] = {1: (_ONE,)}
@@ -101,10 +149,7 @@ def _level(k: int) -> tuple[SemilatticeTable, ...]:
     if k not in _levels:
         found: dict[tuple, SemilatticeTable] = {}
         for parent in _level(k - 1):
-            reps: dict[tuple, int] = {}
-            for mask in _joinclosed_downset_masks(parent):
-                reps.setdefault(canonical_key(parent, mask), mask)
-            for mask in sorted(reps.values()):
+            for mask in _orbit_representatives(parent):
                 K = _accepted_canonical(_extend(parent, mask))
                 if K is not None:
                     if K.meet in found:
@@ -139,6 +184,15 @@ def _extend_checked(S: SemilatticeTable, mask: int) -> SemilatticeTable | None:
     return validate(rows)
 
 
+def _oracle_fingerprint(S: SemilatticeTable) -> tuple:
+    """Isomorphism invariant the oracle buckets by: the sorted (down-set size,
+    up-set size) pairs and the number of UBTAs."""
+    sizes = sorted(
+        (d.bit_count(), u.bit_count()) for d, u in zip(S.below_mask, S.above_mask)
+    )
+    return tuple(sizes), S.ubtas.t
+
+
 def enumerate_semilattices_bruteforce(n: int, max_n: int = 7) -> list[SemilatticeTable]:
     """Independent oracle: labeled backtracking plus isomorphism partitioning.
 
@@ -164,16 +218,7 @@ def enumerate_semilattices_bruteforce(n: int, max_n: int = 7) -> list[Semilattic
         labeled = nxt
     buckets: dict[tuple, list[SemilatticeTable]] = {}
     for S in labeled:
-        fp = (
-            tuple(
-                sorted(
-                    (S.below_mask[x].bit_count(), S.above_mask[x].bit_count())
-                    for x in range(S.n)
-                )
-            ),
-            S.ubtas.t,
-        )
-        buckets.setdefault(fp, []).append(S)
+        buckets.setdefault(_oracle_fingerprint(S), []).append(S)
     reps: list[SemilatticeTable] = []
     for group in buckets.values():
         classes: list[SemilatticeTable] = []

@@ -21,11 +21,11 @@ from .core import (
     _bits,
     are_isomorphic,
     attach_above,
-    canonical_form,
     extend_below,
     named,
 )
 from .enumeration import (
+    _oracle_fingerprint,
     enumerate_semilattices,
     enumerate_semilattices_bruteforce,
     spectrum,
@@ -250,9 +250,16 @@ def claim_enumeration_oracle(max_n: int = 6) -> str:
         assert len(fast) == len(slow), (n, len(fast), len(slow))
         if n <= len(expected):
             assert len(slow) == expected[n - 1], (n, len(slow))
-        fast_keys = {S.meet for S in fast}
-        slow_keys = {canonical_form(S).meet for S in slow}
-        assert fast_keys == slow_keys, f"canonical forms differ at n={n}"
+        # pair every generated table with its own oracle class: equal counts
+        # and no class matched twice make the pairing a bijection
+        unmatched: dict[tuple, list] = {}
+        for R in slow:
+            unmatched.setdefault(_oracle_fingerprint(R), []).append(R)
+        for S in fast:
+            pool = unmatched.get(_oracle_fingerprint(S), [])
+            i = next((i for i, R in enumerate(pool) if are_isomorphic(S, R)), None)
+            assert i is not None, f"a generated table matches no unpaired oracle class at n={n}"
+            pool.pop(i)
         counts.append(len(fast))
     return f"class counts {counts} match the oracle"
 

@@ -7,7 +7,9 @@ from conftest import NAMED_POOL, random_semilattice, random_tree
 from slcong.core import (
     attach_above,
     are_isomorphic,
+    automorphism_generators,
     canonical_form,
+    canonical_key,
     extend_below,
     isomorphism_witness,
     named,
@@ -346,6 +348,69 @@ def test_isomorphism_oracle_runs_without_the_canonical_refinement(monkeypatch):
     assert are_isomorphic(n5, n5.relabel([0, 3, 1, 4, 2]))
     assert not are_isomorphic(n5, named("m3"))
     assert len(enumerate_semilattices_bruteforce(5)) == 15
+
+
+# --- automorphism generators ---------------------------------------------------
+
+
+def _is_meet_automorphism(S, g):
+    n = S.n
+    return sorted(g) == list(range(n)) and all(
+        g[S.meet[x][y]] == S.meet[g[x]][g[y]] for x in range(n) for y in range(n)
+    )
+
+
+def _span_order(n, generators):
+    """Order of the permutation group the generators span, by closure."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        h = todo.pop()
+        for g in generators:
+            gh = tuple(g[y] for y in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return len(group)
+
+
+def test_automorphism_generators_are_meet_automorphisms(rng):
+    pool = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    pool += [named(name) for name in NAMED_POOL]
+    pool += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in pool[:120] if S.n > 1]
+    found = 0
+    for S in pool:
+        for g in automorphism_generators(S):
+            assert _is_meet_automorphism(S, g)
+            assert g != list(range(S.n))
+            found += 1
+    assert found > 0
+
+
+def test_automorphism_generators_span_the_whole_group(rng):
+    for n in range(1, 7):
+        for S in enumerate_semilattices(n):
+            # every automorphism fixes the least element 0
+            brute = sum(
+                1
+                for tail in itertools.permutations(range(1, n))
+                if _is_meet_automorphism(S, (0,) + tail)
+            )
+            relabeled = S.relabel([0] + rng.sample(range(1, n), n - 1))
+            for T in (S, relabeled):
+                assert _span_order(n, automorphism_generators(T)) == brute, T.meet
+
+
+def test_orbit_representatives_match_marked_canonical_keys():
+    from slcong.enumeration import _joinclosed_downset_masks, _orbit_representatives
+
+    parents = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    assert len(parents) == 299
+    for S in parents:
+        reps = {}
+        for mask in _joinclosed_downset_masks(S):
+            reps.setdefault(canonical_key(S, mask), mask)
+        assert _orbit_representatives(S) == sorted(reps.values()), S.meet
 
 
 # --- named catalog ------------------------------------------------------------

@@ -1,9 +1,20 @@
 import pytest
 
+from slcong import verify
 from slcong.congruences import is_lattice
-from slcong.core import are_isomorphic, canonical_form, named, validate
+from slcong.core import (
+    _refine,
+    are_isomorphic,
+    canonical_form,
+    canonical_key,
+    canonical_with_perm,
+    from_covers,
+    named,
+    validate,
+)
 from slcong.enumeration import (
     WITNESS_CAP,
+    _accepted_canonical,
     enumerate_semilattices,
     enumerate_semilattices_bruteforce,
     spectrum,
@@ -22,6 +33,69 @@ def test_counts_against_oracle():
         slow = enumerate_semilattices_bruteforce(n)
         assert len(fast) == len(slow) == EXPECTED_COUNTS[n]
         assert {S.meet for S in fast} == {canonical_form(S).meet for S in slow}
+
+
+def test_eight_element_count():
+    # n-element semilattices with 0 are the (n+1)-element lattices: OEIS A006966
+    assert len(enumerate_semilattices(8)) == 1078
+
+
+def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
+    real = verify.enumerate_semilattices
+
+    def duplicated(n):
+        tables = real(n)
+        return [tables[0]] + tables[:-1] if n == 5 else tables
+
+    assert len(duplicated(5)) == len(real(5))
+    monkeypatch.setattr(verify, "enumerate_semilattices", duplicated)
+    with pytest.raises(AssertionError):
+        verify.claim_enumeration_oracle(5)
+
+
+def test_accepted_canonical_matches_marked_canonical_keys(rng):
+    # relabelings that make a maximal element the new one also reach the
+    # orbit test, where the canonical form does not place that element last
+    moved = 0
+    for n in range(2, 7):
+        for S in enumerate_semilattices(n):
+            for top in S.maximal_elements:
+                for _ in range(3):
+                    rest = [x for x in range(1, n) if x != top]
+                    order = [0] + rng.sample(rest, len(rest)) + [top]
+                    perm = [0] * n
+                    for i, x in enumerate(order):
+                        perm[x] = i
+                    child = S.relabel(perm)
+                    K, where = canonical_with_perm(child)
+                    target = where.index(n - 1)
+                    moved += target != n - 1
+                    same_orbit = canonical_key(child, 1 << (n - 1)) == canonical_key(
+                        child, 1 << target
+                    )
+                    accepted = _accepted_canonical(child)
+                    assert (accepted is not None) == same_orbit, (S.meet, perm)
+                    if accepted is not None:
+                        assert accepted.meet == K.meet
+    assert moved > 0
+
+
+def test_accepted_canonical_separates_orbits_of_one_color():
+    # atoms 1-7, maximal elements 8-14 above the edges of a triangle and a
+    # square; color refinement cannot tell the triangle's edges from the
+    # square's, so only the orbit test decides
+    edges = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+    S = from_covers([[]] + [[0]] * 7 + [list(e) for e in edges])
+    n = S.n
+    accepted = []
+    for new in (8, 11):  # a triangle edge, a square edge
+        perm = list(range(n))
+        perm[new], perm[n - 1] = n - 1, new
+        child = S.relabel(perm)
+        colors = _refine(child)
+        assert colors[n - 1] == max(colors)
+        accepted.append(_accepted_canonical(child) is not None)
+    assert sorted(accepted) == [False, True]
 
 
 def test_three_element_classes():

@@ -8,7 +8,7 @@ import importlib.util
 import os
 
 import slcong.cli
-from slcong import congruences, joinsub
+from slcong import congruences, enumeration, joinsub
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
@@ -42,3 +42,19 @@ def test_tracer_installs_counts_and_uninstalls(capsys):
     assert metrics["joinsub.route.bruteforce"][0] == 0
     assert joinsub.PartialJoinStructure.__dict__["count"] is count
     assert congruences.all_meet_congruences is enumerate_congruences
+
+
+def test_enumeration_searches_once_per_kept_child(monkeypatch, capsys):
+    # an empty level store, so earlier tests cannot have filled it
+    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert slcong.cli.main(["enumerate", "5"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    # 1 + 2 + 5 + 15 classes kept at n = 2..5; orbits need no marked search
+    assert metrics["core.canonical_with_perm.calls"][0] == 23
+    assert metrics["core.canonical_key.calls"][0] == 0
