@@ -25,10 +25,7 @@ from .core import (
     canonical_form,
     extend_below,
     isomorphism_witness,
-    leq,
     named,
-    partial_join,
-    ubtas,
     validate,
 )
 from .enumeration import (

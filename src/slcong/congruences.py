@@ -16,6 +16,10 @@ from . import kernels
 from .core import SemilatticeTable, _bits, validate
 from .errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
 
+CONGRUENCE_MAX_N = 10  # all_meet_congruences and all_lattice_congruences
+BELL_SCAN_MAX_N = 8  # all_meet_congruences_bruteforce
+INTERVAL_BLOCK_MAX_N = 10  # count_interval_block_equivalences
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -109,7 +113,7 @@ def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     return Partition(tuple(kernels.congruence_closure(S.n, S.meet_flat, flat)))
 
 
-def all_meet_congruences(S: SemilatticeTable, max_n: int = 10) -> list[Partition]:
+def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
     """Every meet congruence of S, deterministically ordered.
 
     Generated as the join closure of the cover congruences Cg(a, b) (a
@@ -126,8 +130,8 @@ def all_meet_congruences(S: SemilatticeTable, max_n: int = 10) -> list[Partition
     does not yet collapse.  The Bell scan stays available as an independent
     oracle (``all_meet_congruences_bruteforce``).
     """
-    if S.n > max_n:
-        raise TooLarge(f"n={S.n} exceeds bound {max_n}")
+    if S.n > CONGRUENCE_MAX_N:
+        raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
     n = S.n
     flat = S.meet_flat
     identity = tuple(range(n))
@@ -169,10 +173,10 @@ def _set_partition_ids(n: int):
     yield from rec(1, 1)
 
 
-def all_meet_congruences_bruteforce(S: SemilatticeTable, max_n: int = 8) -> list[Partition]:
+def all_meet_congruences_bruteforce(S: SemilatticeTable) -> list[Partition]:
     """Bell-number scan over all partitions; the slow oracle for the fast path."""
-    if S.n > max_n:
-        raise TooLarge(f"n={S.n} exceeds bound {max_n}")
+    if S.n > BELL_SCAN_MAX_N:
+        raise TooLarge(f"n={S.n} exceeds bound {BELL_SCAN_MAX_N}")
     n = S.n
     flat = S.meet_flat
     out = [Partition(ids) for ids in _set_partition_ids(n) if kernels.op_compatible(n, flat, ids)]
@@ -219,20 +223,20 @@ def join_table_flat(S: SemilatticeTable) -> tuple[int, ...]:
     return tuple(out)
 
 
-def all_lattice_congruences(S: SemilatticeTable, max_n: int = 10) -> list[Partition]:
+def all_lattice_congruences(S: SemilatticeTable) -> list[Partition]:
     """Meet congruences that are also compatible with the join."""
     join_flat = join_table_flat(S)
     return [
         P
-        for P in all_meet_congruences(S, max_n=max_n)
+        for P in all_meet_congruences(S)
         if kernels.op_compatible(S.n, join_flat, P.block_id)
     ]
 
 
-def count_interval_block_equivalences(S: SemilatticeTable, max_n: int = 10) -> int:
+def count_interval_block_equivalences(S: SemilatticeTable) -> int:
     """Number of equivalences on S all of whose blocks are intervals [a, b]."""
-    if S.n > max_n:
-        raise TooLarge(f"n={S.n} exceeds bound {max_n}")
+    if S.n > INTERVAL_BLOCK_MAX_N:
+        raise TooLarge(f"n={S.n} exceeds bound {INTERVAL_BLOCK_MAX_N}")
     n = S.n
     meet = S.meet
     below = S.below_mask

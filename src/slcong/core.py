@@ -288,18 +288,6 @@ def _raise_first_nonassociative(meet) -> None:
     raise InternalInconsistency("down-set test failed on an associative table")
 
 
-def leq(S: SemilatticeTable, x: int, y: int) -> bool:
-    return S.leq(x, y)
-
-
-def partial_join(S: SemilatticeTable, x: int, y: int) -> int | None:
-    return S.partial_join(x, y)
-
-
-def ubtas(S: SemilatticeTable) -> UbtaFamily:
-    return S.ubtas
-
-
 def from_covers(covers: list[list[int]]) -> SemilatticeTable:
     """Build a table from lower covers (used by the named catalog)."""
     n = len(covers)
@@ -413,28 +401,30 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 # Isomorphism and canonical forms.
 #
 # The canonical search first partitions the elements by an iterated
-# invariant refinement (seeded with down-set size, up-set size and an
-# optional mark bit, then refined by the multiset of (color(z), color(x^z))
-# pairs).  The isomorphism oracle colors by (down-set size, up-set size)
-# alone, so it shares no refinement with the canonical search.  Because the
-# first component is the down-set size in both, color order is a linear
-# extension: anything strictly below x gets a strictly smaller color than x.
+# invariant refinement (seeded with down-set size and up-set size, then
+# refined by the multiset of (color(z), color(x^z)) pairs).  The isomorphism
+# oracle colors by (down-set size, up-set size) alone, so it shares no
+# refinement with the canonical search.  Because the first component is the
+# down-set size in both, color order is a linear extension: anything
+# strictly below x gets a strictly smaller color than x.  Each round keeps
+# the previous color as the first sort key, so the largest color class lies
+# inside the class of the largest (down-set size, up-set size) seed.
 #
-# Besides the canonical certificate, the search returns generators of the
-# automorphism group of (S, marks): every transposition it merges into an
-# interchangeability class, and best⁻¹ ∘ pos_of for every leaf whose
-# certificate equals the best one.  Bounding never cuts a leaf of the least
-# certificate, and a leaf skipped for an interchangeable element is the
-# image of a visited one under a product of merged transpositions, so
-# together these generate the whole group.
+# Besides the canonical certificate, the search returns generators of
+# Aut(S): every transposition it merges into an interchangeability class,
+# and best⁻¹ ∘ pos_of for every leaf whose certificate equals the best one.
+# Bounding never cuts a leaf of the least certificate, and a leaf skipped
+# for an interchangeable element is the image of a visited one under a
+# product of merged transpositions, so together these generate the whole
+# group.
 # ---------------------------------------------------------------------------
 
 
-def _refine(S: SemilatticeTable, marks: int = 0) -> list[int]:
+def _refine(S: SemilatticeTable) -> list[int]:
     meet = S.meet
     rng = range(S.n)
     bm, am = S.below_mask, S.above_mask
-    keys = [(bm[x].bit_count(), am[x].bit_count(), (marks >> x) & 1) for x in rng]
+    keys = [(bm[x].bit_count(), am[x].bit_count()) for x in rng]
     while True:
         uniq = sorted(set(keys))
         index = {k: i for i, k in enumerate(uniq)}
@@ -462,19 +452,19 @@ def _swap_is_automorphism(S: SemilatticeTable, x: int, y: int) -> bool:
     return True
 
 
-def _canonical_search(S: SemilatticeTable, marks: int = 0, colors: list[int] | None = None):
+def _canonical_search(S: SemilatticeTable, colors: list[int] | None = None):
     """Lexicographically least relabeling consistent with the color classes.
 
     Returns (rows, perm, generators): rows is the canonical certificate (row
-    p holds the mark bit of the element placed at p followed by the positions
-    of its meets with positions 0..p-1), perm maps element -> position, and
-    generators are automorphisms of (S, marks), each a list g with g[x] the
-    image of x, that generate the whole automorphism group.  ``colors`` is
-    ``_refine(S, marks)`` when the caller already has it.
+    p holds the positions of the meets of the element placed at p with
+    positions 0..p-1), perm maps element -> position, and generators are
+    automorphisms of S, each a list g with g[x] the image of x, that
+    generate the whole automorphism group.  ``colors`` is ``_refine(S)``
+    when the caller already has it.
     """
     n = S.n
     meet = S.meet
-    color = _refine(S, marks) if colors is None else colors
+    color = _refine(S) if colors is None else colors
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(color[x], []).append(x)
@@ -534,9 +524,7 @@ def _canonical_search(S: SemilatticeTable, marks: int = 0, colors: list[int] | N
                 continue
             seen.add(g)
             erow = meet[e]
-            row = ((marks >> e) & 1,) + tuple(
-                pos_of[erow[chosen[j]]] for j in range(p)
-            )
+            row = tuple(pos_of[erow[chosen[j]]] for j in range(p))
             cands.append((row, e))
         cands.sort()
         for row, e in cands:
@@ -554,37 +542,28 @@ def _canonical_search(S: SemilatticeTable, marks: int = 0, colors: list[int] | N
     return best["rows"], best["perm"], generators
 
 
-def canonical_key(S: SemilatticeTable, marks: int = 0):
-    """Hashable canonical certificate of (S, marked subset)."""
-    return _canonical_search(S, marks)[0]
-
-
-def automorphism_generators(
-    S: SemilatticeTable, colors: list[int] | None = None
-) -> list[list[int]]:
-    """Generators of Aut(S), each a list g with g[x] the image of x.
-
-    Empty when the group is trivial.  ``colors`` is ``_refine(S)`` when the
-    caller already has it.
-    """
-    return _canonical_search(S, colors=colors)[2]
+def canonical_key(S: SemilatticeTable):
+    """Hashable canonical certificate of S."""
+    return _canonical_search(S)[0]
 
 
 def canonical_with_perm(
     S: SemilatticeTable, colors: list[int] | None = None
-) -> tuple[SemilatticeTable, list[int]]:
-    """Canonical form of S and the map element -> position into it.
+) -> tuple[SemilatticeTable, list[int], list[list[int]]]:
+    """Canonical form of S, the map element -> position into it, and
+    generators of Aut(S), each a list g with g[x] the image of x (none when
+    the group is trivial), all from one search.
 
     ``colors`` is ``_refine(S)`` when the caller already has it.
     """
-    rows, perm, _ = _canonical_search(S, colors=colors)
+    rows, perm, generators = _canonical_search(S, colors)
     n = S.n
     table = [[0] * n for _ in range(n)]
     for p in range(n):
         table[p][p] = p
         for q in range(p):
-            table[p][q] = table[q][p] = rows[p][1 + q]
-    return SemilatticeTable(tuple(tuple(r) for r in table)), perm
+            table[p][q] = table[q][p] = rows[p][q]
+    return SemilatticeTable(tuple(tuple(r) for r in table)), perm, generators
 
 
 def canonical_form(S: SemilatticeTable) -> SemilatticeTable:

@@ -10,10 +10,12 @@ element lands in the same orbit as a fixed deletion target of the child's
 canonical form.  Each isomorphism class is therefore produced exactly once,
 with no cross-parent deduplication.
 
-Each parent gets one canonical search, whose automorphism generators split
-its ideals into orbits.  A child is first tested by its refinement color,
-which rejects it without a search when its new element cannot reach the
-deletion target; only the children that pass get a canonical search.
+The walk is depth-first, and each class is searched once: the canonical
+search of a kept child gives the generators for its orbit test, and the
+child is expanded at once, in the labelling it was built in (acceptance
+does not depend on it), with those generators splitting its ideals.  A
+child whose new element lacks the largest (down-set size, up-set size) or
+refinement color is rejected before any search.
 
 ``enumerate_semilattices_bruteforce`` is the independent oracle: plain
 backtracking over labeled order extensions followed by isomorphism
@@ -29,7 +31,6 @@ from .core import (
     _bits,
     _refine,
     are_isomorphic,
-    automorphism_generators,
     canonical_with_perm,
     validate,
 )
@@ -38,6 +39,7 @@ from .joinsub import congruence_count
 from .structure import SemilatticeClass, classify
 
 DEFAULT_MAX_N = 9
+ORACLE_MAX_N = 7
 WITNESS_CAP = 64
 
 _ONE = SemilatticeTable(((0,),))
@@ -100,11 +102,10 @@ def _mask_orbit(mask: int, images: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _orbit_representatives(S: SemilatticeTable) -> list[int]:
-    """The least join-closed down-set of each Aut(S)-orbit, ascending, from
-    the automorphism generators of one canonical search of S."""
+def _orbit_representatives(S: SemilatticeTable, generators: list[list[int]]) -> list[int]:
+    """The least join-closed down-set of each Aut(S)-orbit, ascending, given
+    generators of Aut(S)."""
     masks = _joinclosed_downset_masks(S)
-    generators = automorphism_generators(S)
     if not generators:
         return masks
     images = [[1 << y for y in g] for g in generators]
@@ -117,45 +118,58 @@ def _orbit_representatives(S: SemilatticeTable) -> list[int]:
     return reps
 
 
-def _accepted_canonical(child: SemilatticeTable) -> SemilatticeTable | None:
+def _accepted_canonical(child: SemilatticeTable) -> tuple[SemilatticeTable, list] | None:
     """Canonical-augmentation test: keep the child iff its new element is in
     the automorphism orbit of the deletion target, the element placed last in
-    the canonical form (always maximal).
+    the canonical form (always maximal).  Returns the canonical form and the
+    child's automorphism generators, or None.
 
-    The canonical form orders positions by refinement color, so the target
-    lies in the largest color class; colors are invariant under
-    automorphisms, so a new element of any other color is rejected before
-    the search, and the search reuses the colors of a child that passes.
-    When the new element is not itself the target, a second search gives the
-    child's automorphism generators for the orbit test; no child generated
-    up to n = 9 needs it.
+    The target has the largest refinement color and so the largest (down-set
+    size, up-set size); both are invariant under automorphisms, so a new
+    element without them is rejected before the search.
     """
     n = child.n
+    sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(child.below_mask, child.above_mask)]
+    if sizes[n - 1] != max(sizes):
+        return None
     colors = _refine(child)
     if colors[n - 1] != max(colors):
         return None
-    K, perm = canonical_with_perm(child, colors)
-    if perm[n - 1] == n - 1:
-        return K
-    images = [[1 << y for y in g] for g in automorphism_generators(child, colors)]
+    K, perm, generators = canonical_with_perm(child, colors)
     target = perm.index(n - 1)
-    return K if 1 << target in _mask_orbit(1 << (n - 1), images) else None
+    if target != n - 1:
+        images = [[1 << y for y in g] for g in generators]
+        if 1 << target not in _mask_orbit(1 << (n - 1), images):
+            return None
+    return K, generators
 
 
 _levels: dict[int, tuple[SemilatticeTable, ...]] = {1: (_ONE,)}
 
 
 def _level(k: int) -> tuple[SemilatticeTable, ...]:
+    """The sorted canonical k-element tables; a level not yet stored is found
+    by a depth-first walk from the root, which stores every level to k."""
     if k not in _levels:
-        found: dict[tuple, SemilatticeTable] = {}
-        for parent in _level(k - 1):
-            for mask in _orbit_representatives(parent):
-                K = _accepted_canonical(_extend(parent, mask))
-                if K is not None:
-                    if K.meet in found:
-                        raise InternalInconsistency("canonical augmentation produced a duplicate")
-                    found[K.meet] = K
-        _levels[k] = tuple(sorted(found.values(), key=lambda S: S.meet))
+        found: dict[int, dict[tuple, SemilatticeTable]] = {m: {} for m in range(2, k + 1)}
+
+        def expand(parent: SemilatticeTable, generators: list[list[int]]) -> None:
+            level = found[parent.n + 1]
+            for mask in _orbit_representatives(parent, generators):
+                child = _extend(parent, mask)
+                kept = _accepted_canonical(child)
+                if kept is None:
+                    continue
+                K, child_generators = kept
+                if K.meet in level:
+                    raise InternalInconsistency("canonical augmentation produced a duplicate")
+                level[K.meet] = K
+                if child.n < k:
+                    expand(child, child_generators)
+
+        expand(_ONE, [])
+        for m, level in found.items():
+            _levels[m] = tuple(sorted(level.values(), key=lambda S: S.meet))
     return _levels[k]
 
 
@@ -193,7 +207,7 @@ def _oracle_fingerprint(S: SemilatticeTable) -> tuple:
     return tuple(sizes), S.ubtas.t
 
 
-def enumerate_semilattices_bruteforce(n: int, max_n: int = 7) -> list[SemilatticeTable]:
+def enumerate_semilattices_bruteforce(n: int) -> list[SemilatticeTable]:
     """Independent oracle: labeled backtracking plus isomorphism partitioning.
 
     Generates every naturally-labeled table by extending over arbitrary
@@ -201,8 +215,8 @@ def enumerate_semilattices_bruteforce(n: int, max_n: int = 7) -> list[Semilattic
     directly), then partitions the results with the backtracking
     isomorphism test.  Shares no machinery with the orderly generator.
     """
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds oracle bound {max_n}")
+    if n > ORACLE_MAX_N:
+        raise TooLarge(f"n={n} exceeds oracle bound {ORACLE_MAX_N}")
     labeled = [_ONE]
     for _ in range(n - 1):
         nxt = []

@@ -24,6 +24,7 @@ from .errors import (
 
 BRUTE_FORCE_MAX_N = 25
 INCLUSION_EXCLUSION_MAX_T = 20
+DUALITY_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def _relation_mask(P: Partition) -> int:
     return out
 
 
-def verify_duality(S: SemilatticeTable, max_n: int = 8) -> DualityReport:
+def verify_duality(S: SemilatticeTable) -> DualityReport:
     """Check that the dual map is an order anti-isomorphism onto Con(S).
 
     Bijective onto the congruences, and mi <= mj iff dual(mj) <= dual(mi).
@@ -196,8 +197,8 @@ def verify_duality(S: SemilatticeTable, max_n: int = 8) -> DualityReport:
     Raises DualityViolation with the offending subsets if any check fails
     (which would indicate an implementation bug, never expected).
     """
-    if S.n > max_n:
-        raise TooLarge(f"n={S.n} exceeds bound {max_n}")
+    if S.n > DUALITY_MAX_N:
+        raise TooLarge(f"n={S.n} exceeds bound {DUALITY_MAX_N}")
     pj = PartialJoinStructure(S)
     masks = pj.join_closed_masks()
     duals = [pj._dual_of_mask(m) for m in masks]

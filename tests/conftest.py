@@ -1,5 +1,6 @@
 """Shared fixtures and random-structure helpers."""
 
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,41 @@ def random_tree(rng: random.Random, n: int) -> SemilatticeTable:
         x = rng.randrange(S.n)
         S = _extend_checked(S, S.below_mask[x])
     return S
+
+
+def automorphisms(S: SemilatticeTable) -> list[tuple[int, ...]]:
+    """Every automorphism of S, each a tuple g with g[x] the image of x, by
+    brute force over the permutations that keep each (down-set size, up-set
+    size) pool, and so fix 0, checked against every meet."""
+    n = S.n
+    pools: dict[tuple[int, int], list[int]] = {}
+    for x in range(n):
+        key = (S.below_mask[x].bit_count(), S.above_mask[x].bit_count())
+        pools.setdefault(key, []).append(x)
+    meet = S.meet
+    found = []
+    for images in itertools.product(*(itertools.permutations(p) for p in pools.values())):
+        g = [0] * n
+        for pool, image in zip(pools.values(), images):
+            for x, y in zip(pool, image):
+                g[x] = y
+        if all(g[meet[x][y]] == meet[g[x]][g[y]] for x in range(n) for y in range(x + 1, n)):
+            found.append(tuple(g))
+    return found
+
+
+def span_order(n: int, generators) -> int:
+    """Order of the permutation group the generators span, by closure."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        h = todo.pop()
+        for g in generators:
+            gh = tuple(g[y] for y in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return len(group)
 
 
 @pytest.fixture

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from conftest import NAMED_POOL, random_semilattice, random_tree
+from conftest import NAMED_POOL, automorphisms, random_semilattice, random_tree, span_order
 from slcong.core import (
     attach_above,
     are_isomorphic,
-    automorphism_generators,
     canonical_form,
-    canonical_key,
+    canonical_with_perm,
     extend_below,
     isomorphism_witness,
     named,
@@ -360,27 +359,13 @@ def _is_meet_automorphism(S, g):
     )
 
 
-def _span_order(n, generators):
-    """Order of the permutation group the generators span, by closure."""
-    group = {tuple(range(n))}
-    todo = list(group)
-    while todo:
-        h = todo.pop()
-        for g in generators:
-            gh = tuple(g[y] for y in h)
-            if gh not in group:
-                group.add(gh)
-                todo.append(gh)
-    return len(group)
-
-
 def test_automorphism_generators_are_meet_automorphisms(rng):
     pool = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
     pool += [named(name) for name in NAMED_POOL]
     pool += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in pool[:120] if S.n > 1]
     found = 0
     for S in pool:
-        for g in automorphism_generators(S):
+        for g in canonical_with_perm(S)[2]:
             assert _is_meet_automorphism(S, g)
             assert g != list(range(S.n))
             found += 1
@@ -398,19 +383,25 @@ def test_automorphism_generators_span_the_whole_group(rng):
             )
             relabeled = S.relabel([0] + rng.sample(range(1, n), n - 1))
             for T in (S, relabeled):
-                assert _span_order(n, automorphism_generators(T)) == brute, T.meet
+                assert span_order(n, canonical_with_perm(T)[2]) == brute, T.meet
 
 
-def test_orbit_representatives_match_marked_canonical_keys():
+def test_orbit_representatives_match_brute_force_orbits(rng):
     from slcong.enumeration import _joinclosed_downset_masks, _orbit_representatives
 
     parents = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
     assert len(parents) == 299
     for S in parents:
-        reps = {}
-        for mask in _joinclosed_downset_masks(S):
-            reps.setdefault(canonical_key(S, mask), mask)
-        assert _orbit_representatives(S) == sorted(reps.values()), S.meet
+        # the walk expands parents in the labelling they were built in
+        relabeled = S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))
+        for T in (S, relabeled):
+            group = automorphisms(T)
+            least = {
+                min(sum(1 << g[x] for x in range(T.n) if mask >> x & 1) for g in group)
+                for mask in _joinclosed_downset_masks(T)
+            }
+            reps = _orbit_representatives(T, canonical_with_perm(T)[2])
+            assert reps == sorted(least), T.meet
 
 
 # --- named catalog ------------------------------------------------------------

@@ -1,12 +1,12 @@
 import pytest
 
-from slcong import verify
+from conftest import automorphisms, span_order
+from slcong import enumeration, verify
 from slcong.congruences import is_lattice
 from slcong.core import (
     _refine,
     are_isomorphic,
     canonical_form,
-    canonical_key,
     canonical_with_perm,
     from_covers,
     named,
@@ -15,6 +15,8 @@ from slcong.core import (
 from slcong.enumeration import (
     WITNESS_CAP,
     _accepted_canonical,
+    _extend,
+    _joinclosed_downset_masks,
     enumerate_semilattices,
     enumerate_semilattices_bruteforce,
     spectrum,
@@ -53,12 +55,15 @@ def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
         verify.claim_enumeration_oracle(5)
 
 
-def test_accepted_canonical_matches_marked_canonical_keys(rng):
-    # relabelings that make a maximal element the new one also reach the
-    # orbit test, where the canonical form does not place that element last
+def test_accepted_canonical_keeps_one_brute_force_orbit(rng):
+    # each maximal element of S is made the new one under random relabelings;
+    # the kept ones must form exactly one orbit of Aut(S), found by brute
+    # force, whatever the labelling
     moved = 0
-    for n in range(2, 7):
+    for n in range(2, 8):
         for S in enumerate_semilattices(n):
+            group = automorphisms(S)
+            decisions = {}
             for top in S.maximal_elements:
                 for _ in range(3):
                     rest = [x for x in range(1, n) if x != top]
@@ -67,17 +72,53 @@ def test_accepted_canonical_matches_marked_canonical_keys(rng):
                     for i, x in enumerate(order):
                         perm[x] = i
                     child = S.relabel(perm)
-                    K, where = canonical_with_perm(child)
-                    target = where.index(n - 1)
-                    moved += target != n - 1
-                    same_orbit = canonical_key(child, 1 << (n - 1)) == canonical_key(
-                        child, 1 << target
-                    )
                     accepted = _accepted_canonical(child)
-                    assert (accepted is not None) == same_orbit, (S.meet, perm)
+                    decisions.setdefault(top, set()).add(accepted is not None)
                     if accepted is not None:
-                        assert accepted.meet == K.meet
+                        K, generators = accepted
+                        assert K.meet == S.meet
+                        assert span_order(n, generators) == len(group)
+                        # coverage only: the orbit test, not the placement, decided
+                        moved += canonical_with_perm(child)[1][n - 1] != n - 1
+            assert all(len(d) == 1 for d in decisions.values()), (S.meet, decisions)
+            kept = {top for top, d in decisions.items() if True in d}
+            assert kept and kept == {g[min(kept)] for g in group}, (S.meet, kept)
     assert moved > 0
+
+
+def test_size_pretest_rejects_only_children_the_color_test_rejects(monkeypatch, rng):
+    refined = []
+    real = enumeration._refine
+
+    def refine(S):
+        refined.append(S)
+        return real(S)
+
+    tables = [S for n in range(1, 7) for S in enumerate_semilattices(n)]
+    monkeypatch.setattr(enumeration, "_refine", refine)
+    skipped = 0
+    for S in tables:
+        for T in (S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))):
+            for mask in _joinclosed_downset_masks(T):
+                child = _extend(T, mask)
+                refined.clear()
+                accepted = _accepted_canonical(child)
+                if not refined:
+                    skipped += 1
+                    colors = real(child)
+                    assert accepted is None and colors[T.n] != max(colors), child.meet
+    assert skipped > 0
+
+
+def test_direct_request_stores_every_level(monkeypatch):
+    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
+    enumerate_semilattices(7)
+    direct = dict(enumeration._levels)
+    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
+    for n in range(2, 8):
+        enumerate_semilattices(n)
+    assert sorted(direct) == list(range(1, 8))
+    assert direct == enumeration._levels
 
 
 def test_accepted_canonical_separates_orbits_of_one_color():
