@@ -113,6 +113,54 @@ def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     return Partition(tuple(kernels.congruence_closure(S.n, S.meet_flat, flat)))
 
 
+def _join_pair(meet, ids, blocks, a: int, b: int) -> tuple[int, ...]:
+    """The least congruence above the congruence ``ids`` that relates a and b.
+
+    ``meet`` holds the rows of the meet table, ``ids`` is a dense
+    first-occurrence block-id tuple and ``blocks[k]`` lists the members of
+    its block k.  Starting from these blocks, two blocks merge at a time,
+    the one with the larger label taking the smaller label, and for each
+    pair (x, y) that merged two blocks, (x^z, y^z) is pushed for every z.
+    Nothing else is rescanned: the result is the equivalence generated by
+    the pairs of ``ids`` and the merging pairs, and each generator is
+    compatible with the meet, a pair of ``ids`` because ``ids`` is a
+    congruence and a merging pair because its meets with every z were
+    pushed and so end up related.  Compatibility carries along chains of
+    generators by transitivity, and every merge is forced, so the result is
+    the join of ``ids`` and Cg(a, b).  Returns dense first-occurrence block
+    ids, as ``kernels.congruence_closure`` does.
+    """
+    label = list(ids)
+    members = list(blocks)  # merged lists are new; the blocks are not mutated
+    queue = [a, b]
+    while queue:
+        y = queue.pop()
+        x = queue.pop()
+        kx = label[x]
+        ky = label[y]
+        if kx == ky:
+            continue
+        if kx > ky:
+            kx, ky = ky, kx
+        moved = members[ky]
+        for w in moved:
+            label[w] = kx
+        members[kx] = members[kx] + moved
+        members[ky] = None
+        for u, v in zip(meet[x], meet[y]):
+            if label[u] != label[v]:
+                queue += (u, v)
+    # a merged block keeps its least label, so the live labels are already in
+    # first-occurrence order and renumbering only closes the gaps
+    dense = []
+    live = 0
+    for m in members:
+        dense.append(live)
+        if m is not None:
+            live += 1
+    return tuple(map(dense.__getitem__, label))
+
+
 def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
     """Every meet congruence of S, deterministically ordered.
 
@@ -125,33 +173,39 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
       maximal chain from a to b, and blocks are convex, so those covers lie
       inside the block too.
 
-    The worklist holds dense first-occurrence block-id tuples (what the
-    closure kernel returns); each found tuple is joined with every cover it
-    does not yet collapse.  The Bell scan stays available as an independent
-    oracle (``all_meet_congruences_bruteforce``).
+    The worklist holds dense first-occurrence block-id tuples; each found
+    tuple is joined (``_join_pair``, starting from its blocks) with one
+    cover per pair of its blocks that some cover joins, since covers
+    between the same two blocks give the same join.  The Bell scan stays
+    available as an independent oracle (``all_meet_congruences_bruteforce``).
     """
     if S.n > CONGRUENCE_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
     n = S.n
-    flat = S.meet_flat
+    meet = S.meet
+    covers = S.covers
     identity = tuple(range(n))
     found = {identity}
     work = [identity]
     while work:
         ids = work.pop()
-        spanning = []
-        reps = []
-        for x, b in enumerate(ids):
-            if b == len(reps):
-                reps.append(x)
-            else:
-                spanning += (reps[b], x)
-        for a, b in S.covers:
-            if ids[a] != ids[b]:
-                joined = tuple(kernels.congruence_closure(n, flat, spanning + [a, b]))
-                if joined not in found:
-                    found.add(joined)
-                    work.append(joined)
+        blocks = [[] for _ in range(max(ids, default=-1) + 1)]
+        for x, k in enumerate(ids):
+            blocks[k].append(x)
+        joined_blocks = set()
+        for a, b in covers:
+            ka = ids[a]
+            kb = ids[b]
+            if ka == kb:
+                continue
+            key = (ka, kb) if ka < kb else (kb, ka)
+            if key in joined_blocks:
+                continue
+            joined_blocks.add(key)
+            joined = _join_pair(meet, ids, blocks, a, b)
+            if joined not in found:
+                found.add(joined)
+                work.append(joined)
     return sorted(map(Partition, found), key=_sort_key)
 
 

@@ -268,18 +268,19 @@ def run_claims(n_max: int) -> list[ClaimResult]:
     """Run every claim applicable at sizes up to n_max (NCsl(n) needs n >= 2)."""
     if n_max < 2:
         raise TooLarge(f"n_max must be at least 2, got {n_max}")
-    results = [
-        _run("small-spectra", claim_small_spectra, min(5, n_max)),
-    ]
+    claims = [("small-spectra", claim_small_spectra, (min(5, n_max),))]
     if n_max >= 6:
-        results.append(_run("top-four-values", claim_top_four, min(8, n_max)))
-    results += [
-        _run("quasi-tree-fixtures", claim_fixture_counts),
-        _run("congruence-subalgebra-duality", claim_duality, min(7, n_max)),
-        _run("tree-quotient", claim_tree_quotient, min(7, n_max)),
-        _run("convex-block-criterion", claim_convex_block, min(6, n_max)),
-        _run("lattice-congruence-bound", claim_lattice_bound, min(8, n_max)),
-        _run("interval-block-counts", claim_interval_blocks),
-        _run("enumeration-oracle", claim_enumeration_oracle, min(6, n_max)),
+        claims.append(("top-four-values", claim_top_four, (min(8, n_max),)))
+    claims += [
+        ("quasi-tree-fixtures", claim_fixture_counts, ()),
+        ("congruence-subalgebra-duality", claim_duality, (min(7, n_max),)),
+        ("tree-quotient", claim_tree_quotient, (min(7, n_max),)),
+        ("convex-block-criterion", claim_convex_block, (min(6, n_max),)),
+        ("lattice-congruence-bound", claim_lattice_bound, (min(8, n_max),)),
+        ("interval-block-counts", claim_interval_blocks, ()),
+        ("enumeration-oracle", claim_enumeration_oracle, (min(6, n_max),)),
     ]
-    return results
+    # the claims read levels 1..n of the enumeration in rising order; asking
+    # for the deepest first stores every level in one walk from the root
+    enumerate_semilattices(max(n for _, _, args in claims for n in args))
+    return [_run(name, fn, *args) for name, fn, args in claims]

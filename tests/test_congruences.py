@@ -4,6 +4,7 @@ from conftest import NAMED_POOL
 from slcong import kernels
 from slcong.congruences import (
     Partition,
+    _join_pair,
     _set_partition_ids,
     all_lattice_congruences,
     all_meet_congruences,
@@ -18,6 +19,7 @@ from slcong.congruences import (
 from slcong.core import are_isomorphic, named
 from slcong.enumeration import enumerate_semilattices
 from slcong.errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
+from slcong.joinsub import PartialJoinStructure
 from slcong.structure import tree_congruence
 
 
@@ -123,8 +125,39 @@ def test_listed_congruences_are_closure_fixpoints_without_duplicates():
             cons = all_meet_congruences(S)
             assert len({P.blocks for P in cons}) == len(cons)
             for P in cons:
-                spanning = [z for block in P.blocks for x in block[1:] for z in (block[0], x)]
-                assert tuple(kernels.congruence_closure(S.n, S.meet_flat, spanning)) == P.block_id
+                assert tuple(kernels.congruence_closure(S.n, S.meet_flat, _spanning(P))) == P.block_id
+
+
+def _spanning(P):
+    return [z for block in P.blocks for x in block[1:] for z in (block[0], x)]
+
+
+def test_join_pair_matches_closure_from_scratch():
+    # every Bell-scan congruence joined with every pair, against the kernel
+    # closing the congruence's spanning pairs and the new pair from scratch
+    pool = [named(name) for name in NAMED_POOL]
+    for n in range(1, 7):
+        pool += enumerate_semilattices(n)
+    for S in pool:
+        for P in all_meet_congruences_bruteforce(S):
+            blocks = [list(block) for block in P.blocks]
+            spanning = _spanning(P)
+            for x in range(S.n):
+                for y in range(x + 1, S.n):
+                    expected = tuple(kernels.congruence_closure(S.n, S.meet_flat, spanning + [x, y]))
+                    assert _join_pair(S.meet, P.block_id, blocks, x, y) == expected, (S.meet, P, x, y)
+
+
+def test_eight_element_congruences_match_join_closed_subset_counts():
+    # |Con S| = |Sub(S+)| (the duality), counted by the subset scan, on all
+    # 1078 classes with n = 8; entries are distinct by construction
+    tables = enumerate_semilattices(8)
+    assert len(tables) == 1078
+    for S in tables:
+        cons = all_meet_congruences(S)
+        assert len(cons) == PartialJoinStructure(S).count_bruteforce()
+        for P in cons:
+            assert tuple(kernels.congruence_closure(S.n, S.meet_flat, _spanning(P))) == P.block_id
 
 
 def test_chain_congruence_counts_powers():

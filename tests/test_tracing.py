@@ -58,3 +58,17 @@ def test_enumeration_searches_once_per_kept_child(monkeypatch, capsys):
     # 1 + 2 + 5 + 15 classes kept at n = 2..5; orbits need no marked search
     assert metrics["core.canonical_with_perm.calls"][0] == 23
     assert metrics["core.canonical_key.calls"][0] == 0
+
+
+def test_verify_walks_the_enumeration_once(monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert slcong.cli.main(["verify", "6"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    # one search per class at n = 2..6 (1 + 2 + 5 + 15 + 53), although the
+    # claims ask for n = 2, 3, ... in turn
+    assert tracer.metrics()["core.canonical_with_perm.calls"][0] == 76
