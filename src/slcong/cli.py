@@ -13,7 +13,13 @@ import sys
 from fractions import Fraction
 
 from . import congruences, core, enumeration, joinsub, structure, verify
-from .errors import InternalInconsistency, InvalidTable, SemilatticeError, UnknownName
+from .errors import (
+    InternalInconsistency,
+    InvalidTable,
+    SemilatticeError,
+    TooLarge,
+    UnknownName,
+)
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -114,6 +120,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.top is not None and args.top < 1:
+        raise TooLarge(f"top count must be at least 1, got {args.top}")
     sp = enumeration.spectrum(args.n, max_n=args.max_n)
     top = None
     if args.top is not None:

@@ -292,10 +292,9 @@ def top_values(sp: Spectrum, count: int) -> list[tuple[int, set[SemilatticeClass
     """The ``count`` largest spectrum values with the classes of their witnesses.
 
     Classes are collected over every attaining semilattice, not only the
-    reported witnesses.
+    reported witnesses.  ``count`` must be at least 1; the CLI checks it
+    before the spectrum is computed.
     """
-    if count < 1:
-        raise TooLarge(f"top count must be at least 1, got {count}")
     values = sp.values[::-1]
     if len(values) < count:
         raise NotEnoughValues(f"only {len(values)} spectrum values at n={sp.n}")

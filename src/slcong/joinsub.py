@@ -18,6 +18,7 @@ from .errors import (
     ContainsZero,
     DualityViolation,
     NotJoinClosed,
+    SizeMismatch,
     TooLarge,
     TooManyUbtas,
 )
@@ -56,7 +57,7 @@ class PartialJoinStructure:
             if e == 0:
                 raise ContainsZero("subsets of S+ cannot contain 0")
             if not 1 <= e < self.n:
-                raise ContainsZero(f"element {e} is not in S+")
+                raise SizeMismatch(f"element {e} out of range for n={self.n}")
             mask |= 1 << (e - 1)
         return mask
 

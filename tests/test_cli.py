@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from slcong import structure
+from slcong import enumeration, structure
 from slcong.cli import main
 from slcong.core import extend_below, named
 
@@ -154,6 +154,16 @@ def test_spectrum_top_below_one_exits_two(capsys, top):
     code, out, err = run(capsys, "spectrum", "5", "--top", top)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "at least 1" in err
+
+
+def test_spectrum_top_checked_before_spectrum(capsys, monkeypatch):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("spectrum computed before --top was checked")
+
+    monkeypatch.setattr(enumeration, "spectrum", no_spectrum)
+    code, out, err = run(capsys, "spectrum", "9", "--top", "0")
+    assert code == 2 and out == ""
+    assert err == "error: top count must be at least 1, got 0\n"
 
 
 def test_spectrum_byte_stable(capsys):

@@ -8,6 +8,7 @@ from slcong.errors import (
     ContainsZero,
     DualityViolation,
     NotJoinClosed,
+    SizeMismatch,
     TooLarge,
     TooManyUbtas,
 )
@@ -53,6 +54,15 @@ def test_contains_zero():
     pj = PartialJoinStructure(named("b4"))
     with pytest.raises(ContainsZero):
         pj.is_join_closed([0, 1])
+
+
+@pytest.mark.parametrize("element", [7, -1])
+def test_element_out_of_range_is_size_mismatch(element):
+    pj = PartialJoinStructure(named("b4"))
+    with pytest.raises(SizeMismatch, match=f"element {element} out of range"):
+        pj.is_join_closed([element])
+    with pytest.raises(SizeMismatch):
+        pj.dual_congruence([1, element])
 
 
 def test_join_agrees_with_host():
