@@ -45,12 +45,19 @@ def _load_table(source: str) -> core.SemilatticeTable:
             return core.named(source)
         except UnknownName:
             raise FileNotFoundError(f"no such file or catalog name: {source}") from None
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     if not isinstance(obj, dict) or "meet" not in obj:
         raise ValueError('expected a JSON object {"n": ..., "meet": [[...], ...]}')
     table = core.validate(obj["meet"])
-    if "n" in obj and obj["n"] != table.n:
-        raise ValueError(f'field "n" is {obj["n"]} but the table has {table.n} rows')
+    if "n" in obj:
+        n = obj["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError('field "n" is not an integer')
+        if n != table.n:
+            raise ValueError(f'field "n" is {n} but the table has {table.n} rows')
     return table
 
 
@@ -120,6 +127,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.n < 2:
+        raise TooLarge(f"n must be at least 2, got {args.n}")
     if args.top is not None and args.top < 1:
         raise TooLarge(f"top count must be at least 1, got {args.top}")
     sp = enumeration.spectrum(args.n, max_n=args.max_n)

@@ -99,18 +99,16 @@ def is_meet_congruence(S: SemilatticeTable, P: Partition) -> bool:
     """True iff x ~ y implies x^z ~ y^z for all z."""
     if P.n != S.n:
         raise SizeMismatch(f"partition of {P.n} elements against n={S.n}")
-    return kernels.op_compatible(S.n, S.meet_flat, P.block_id)
+    return kernels.op_compatible(S.meet, P.block_id)
 
 
 def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     """Least meet congruence collapsing every given pair (union-find fixpoint)."""
-    flat = []
+    pairs = list(pairs)
     for x, y in pairs:
         if not (0 <= x < S.n and 0 <= y < S.n):
             raise SizeMismatch(f"pair ({x},{y}) out of range")
-        flat.append(x)
-        flat.append(y)
-    return Partition(tuple(kernels.congruence_closure(S.n, S.meet_flat, flat)))
+    return Partition(kernels.congruence_closure(S.meet, pairs))
 
 
 def _join_pair(meet, ids, blocks, a: int, b: int) -> tuple[int, ...]:
@@ -231,9 +229,8 @@ def all_meet_congruences_bruteforce(S: SemilatticeTable) -> list[Partition]:
     """Bell-number scan over all partitions; the slow oracle for the fast path."""
     if S.n > BELL_SCAN_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {BELL_SCAN_MAX_N}")
-    n = S.n
-    flat = S.meet_flat
-    out = [Partition(ids) for ids in _set_partition_ids(n) if kernels.op_compatible(n, flat, ids)]
+    meet = S.meet
+    out = [Partition(ids) for ids in _set_partition_ids(S.n) if kernels.op_compatible(meet, ids)]
     return sorted(out, key=_sort_key)
 
 
@@ -259,32 +256,30 @@ def is_lattice(S: SemilatticeTable) -> bool:
     return S.has_top()
 
 
-def join_table_flat(S: SemilatticeTable) -> tuple[int, ...]:
-    """Total join table of a lattice, flattened row-major."""
+def join_table(S: SemilatticeTable) -> tuple[tuple[int, ...], ...]:
+    """Total join table of a lattice as rows, like ``S.meet``."""
     if not is_lattice(S):
         raise NotALattice("no greatest element")
     n = S.n
     meet = S.meet
-    out = []
+    above = S.above_mask
+    rows = []
     for x in range(n):
+        row = []
         for y in range(n):
-            ub = S.above_mask[x] & S.above_mask[y]
-            it = _bits(ub)
+            it = _bits(above[x] & above[y])
             v = next(it)
             for z in it:
                 v = meet[v][z]
-            out.append(v)
-    return tuple(out)
+            row.append(v)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def all_lattice_congruences(S: SemilatticeTable) -> list[Partition]:
     """Meet congruences that are also compatible with the join."""
-    join_flat = join_table_flat(S)
-    return [
-        P
-        for P in all_meet_congruences(S)
-        if kernels.op_compatible(S.n, join_flat, P.block_id)
-    ]
+    join = join_table(S)
+    return [P for P in all_meet_congruences(S) if kernels.op_compatible(join, P.block_id)]
 
 
 def count_interval_block_equivalences(S: SemilatticeTable) -> int:

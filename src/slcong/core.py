@@ -91,10 +91,6 @@ class SemilatticeTable:
             sum(1 << z for z in range(n) if meet[x][z] == x) for x in range(n)
         )
 
-    @cached_property
-    def meet_flat(self) -> tuple[int, ...]:
-        return tuple(v for row in self.meet for v in row)
-
     def leq(self, x: int, y: int) -> bool:
         return self.meet[x][y] == x
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .core import (
     SemilatticeTable,
     _bits,
@@ -35,7 +36,7 @@ from .core import (
     validate,
 )
 from .errors import InternalInconsistency, NotEnoughValues, TooLarge
-from .joinsub import congruence_count
+from .joinsub import PartialJoinStructure, congruence_count
 from .structure import SemilatticeClass, classify
 
 DEFAULT_MAX_N = 9
@@ -46,29 +47,16 @@ _ONE = SemilatticeTable(((0,),))
 
 
 def _joinclosed_downset_masks(S: SemilatticeTable) -> list[int]:
-    """Down-sets of S containing 0 and closed under existing joins.
+    """Down-sets of S containing 0 and closed under existing joins, ascending.
 
     These are exactly the subsets a new maximal element can sit above while
-    keeping all meets defined.
+    keeping all meets defined.  Over the bits of S+, a down-set is a subset
+    in which each element x needs each of its lower covers c != 0, and join
+    closure is the UBTA clauses of ``PartialJoinStructure``.
     """
-    below = S.below_mask
-    ubtas = S.ubtas.items
-    out = []
-    for sub in range(1 << (S.n - 1)):
-        mask = (sub << 1) | 1
-        ok = True
-        for x in _bits(sub << 1):
-            if below[x] & ~mask:
-                ok = False
-                break
-        if ok:
-            for a, b, v in ubtas:
-                if mask >> a & 1 and mask >> b & 1 and not mask >> v & 1:
-                    ok = False
-                    break
-        if ok:
-            out.append(mask)
-    return out
+    needs = tuple((1 << (x - 1), 1 << (c - 1)) for c, x in S.covers if c)
+    masks = kernels.list_join_closed(S.n - 1, needs + PartialJoinStructure(S).clauses)
+    return [(mask << 1) | 1 for mask in masks]
 
 
 def _extend(S: SemilatticeTable, ideal_mask: int) -> SemilatticeTable:

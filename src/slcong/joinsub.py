@@ -39,14 +39,12 @@ class PartialJoinStructure:
         return self.host.n
 
     @cached_property
-    def constraints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per UBTA: (mask of {a, b}, mask of {v}) over S+ bits (element i -> bit i-1)."""
-        pair_masks = []
-        join_masks = []
-        for a, b, v in self.host.ubtas:
-            pair_masks.append((1 << (a - 1)) | (1 << (b - 1)))
-            join_masks.append(1 << (v - 1))
-        return tuple(pair_masks), tuple(join_masks)
+    def clauses(self) -> tuple[tuple[int, int], ...]:
+        """Per UBTA {a, b} with join v, the kernel clause (mask of {a, b},
+        mask of {v}) over S+ bits (element i -> bit i-1)."""
+        return tuple(
+            ((1 << (a - 1)) | (1 << (b - 1)), 1 << (v - 1)) for a, b, v in self.host.ubtas
+        )
 
     def join(self, x: int, y: int) -> int | None:
         return self.host.partial_join(x, y)
@@ -62,9 +60,8 @@ class PartialJoinStructure:
         return mask
 
     def _mask_ok(self, mask: int) -> bool:
-        pair_masks, join_masks = self.constraints
-        for pm, jm in zip(pair_masks, join_masks):
-            if mask & pm == pm and not mask & jm:
+        for need, join in self.clauses:
+            if mask & need == need and not mask & join:
                 return False
         return True
 
@@ -72,7 +69,7 @@ class PartialJoinStructure:
         """True iff no UBTA inside the subset has its join outside it.
 
         Comparable pairs never violate closure (their join is the larger
-        element), so only the UBTA constraints matter; the empty set counts
+        element), so only the UBTA clauses matter; the empty set counts
         as join-closed.
         """
         return self._mask_ok(self._as_mask(elements))
@@ -81,15 +78,13 @@ class PartialJoinStructure:
         """All join-closed subsets of S+ as bitmasks, ascending."""
         if self.n > BRUTE_FORCE_MAX_N:
             raise TooLarge(f"n={self.n} exceeds bound {BRUTE_FORCE_MAX_N}")
-        pair_masks, join_masks = self.constraints
-        return kernels.list_join_closed(self.n - 1, pair_masks, join_masks)
+        return kernels.list_join_closed(self.n - 1, self.clauses)
 
     def count_bruteforce(self) -> int:
         """|Sub(S+)| by scanning all 2^(n-1) subsets."""
         if self.n > BRUTE_FORCE_MAX_N:
             raise TooLarge(f"n={self.n} exceeds bound {BRUTE_FORCE_MAX_N}")
-        pair_masks, join_masks = self.constraints
-        return kernels.scan_join_closed(self.n - 1, pair_masks, join_masks)
+        return kernels.scan_join_closed(self.n - 1, self.clauses)
 
     def count_inclusion_exclusion(self) -> int:
         """|Sub(S+)| = 2^(n-1) - |U_1 u ... u U_t| by inclusion-exclusion.
@@ -99,8 +94,8 @@ class PartialJoinStructure:
         is also a forbidden join, and has 2^(n-1-|A_T u V_T|) members
         otherwise.
         """
-        pair_masks, join_masks = self.constraints
-        t = len(pair_masks)
+        clauses = self.clauses
+        t = len(clauses)
         if t > INCLUSION_EXCLUSION_MAX_T:
             raise TooManyUbtas(f"t={t} exceeds bound {INCLUSION_EXCLUSION_MAX_T}")
         total = 0
@@ -109,8 +104,9 @@ class PartialJoinStructure:
             need = 0
             forbidden = 0
             for i in _bits(sub):
-                need |= pair_masks[i]
-                forbidden |= join_masks[i]
+                pair, join = clauses[i]
+                need |= pair
+                forbidden |= join
             if need & forbidden:
                 continue
             term = 1 << (nbits - (need | forbidden).bit_count())

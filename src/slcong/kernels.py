@@ -1,63 +1,61 @@
 """The hot loops: join-closed subset scans, compatibility checks, closure.
 
 Subsets of S+ = S\\{0} are bitmasks: element i of S+ (i = 1..n-1) is bit
-i-1.  Meet tables are passed flattened row-major, length n*n.
+i-1.  A clause is a pair of such masks (need, join): a subset violates it
+when it holds every bit of ``need`` and no bit of ``join``.  So a UBTA
+{a, b} with join v is the clause ({a, b}, {v}), "a and b need v", and
+({x}, {c}) reads "x needs c".  The scans take the number of bits first.
+
+Tables are row tuples, as in ``SemilatticeTable.meet``: ``op[x][y]`` is the
+element x op y.
 """
 
 IMPLEMENTATION = "pure"  # kept because perfbench/sample.py records it in each run
 
 
-def scan_join_closed(nbits, pair_masks, join_masks):
-    """Count masks in [0, 2^nbits) containing no constrained pair without its join."""
-    t = len(pair_masks)
-    count = 0
+def _join_closed(nbits, clauses):
+    """The masks in [0, 2^nbits) that violate no clause, ascending."""
     for mask in range(1 << nbits):
-        for i in range(t):
-            pm = pair_masks[i]
-            if mask & pm == pm and not mask & join_masks[i]:
+        for need, join in clauses:
+            if mask & need == need and not mask & join:
                 break
         else:
-            count += 1
+            yield mask
+
+
+def scan_join_closed(nbits, clauses):
+    """Number of masks in [0, 2^nbits) that violate no clause."""
+    count = 0
+    for _ in _join_closed(nbits, clauses):
+        count += 1
     return count
 
 
-def list_join_closed(nbits, pair_masks, join_masks):
-    """Like scan_join_closed but returns the qualifying masks, ascending."""
-    t = len(pair_masks)
-    out = []
-    for mask in range(1 << nbits):
-        for i in range(t):
-            pm = pair_masks[i]
-            if mask & pm == pm and not mask & join_masks[i]:
-                break
-        else:
-            out.append(mask)
-    return out
+def list_join_closed(nbits, clauses):
+    """The masks in [0, 2^nbits) that violate no clause, ascending."""
+    return list(_join_closed(nbits, clauses))
 
 
-def op_compatible(n, op_flat, block_id):
-    """True iff block_id is compatible with the binary operation op_flat."""
+def op_compatible(op, block_id):
+    """True iff x ~ y implies x op z ~ y op z for every z, where x ~ y means
+    block_id[x] == block_id[y]."""
     rep = {}
-    for x in range(n):
-        b = block_id[x]
-        r = rep.get(b)
-        if r is None:
-            rep[b] = x
+    for x, b in enumerate(block_id):
+        r = rep.setdefault(b, x)
+        if r == x:
             continue
-        rrow = op_flat[r * n:]
-        xrow = op_flat[x * n:]
-        for z in range(n):
-            if block_id[xrow[z]] != block_id[rrow[z]]:
+        for u, v in zip(op[r], op[x]):
+            if block_id[u] != block_id[v]:
                 return False
     return True
 
 
-def congruence_closure(n, meet_flat, pairs_flat):
-    """Least meet-compatible equivalence collapsing the given pairs.
+def congruence_closure(meet, pairs):
+    """Least meet-compatible equivalence relating every (x, y) in pairs.
 
-    pairs_flat is [x0, y0, x1, y1, ...].  Returns dense block ids numbered
-    by first occurrence.
+    Returns dense block ids numbered by first occurrence, as a tuple.
     """
+    n = len(meet)
     parent = list(range(n))
 
     def find(x):
@@ -66,28 +64,16 @@ def congruence_closure(n, meet_flat, pairs_flat):
             x = parent[x]
         return x
 
-    queue = list(pairs_flat)
+    queue = list(pairs)
     while queue:
-        y = queue.pop()
-        x = queue.pop()
+        x, y = queue.pop()
         rx = find(x)
         ry = find(y)
         if rx == ry:
             continue
         parent[ry] = rx
-        xrow = meet_flat[x * n:]
-        yrow = meet_flat[y * n:]
-        for z in range(n):
-            a = xrow[z]
-            b = yrow[z]
+        for a, b in zip(meet[x], meet[y]):
             if find(a) != find(b):
-                queue.append(a)
-                queue.append(b)
-    out = [0] * n
+                queue.append((a, b))
     ids = {}
-    for i in range(n):
-        r = find(i)
-        if r not in ids:
-            ids[r] = len(ids)
-        out[i] = ids[r]
-    return out
+    return tuple(ids.setdefault(find(x), len(ids)) for x in range(n))

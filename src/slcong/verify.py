@@ -14,7 +14,7 @@ from .congruences import (
     all_lattice_congruences,
     count_interval_block_equivalences,
     is_lattice,
-    join_table_flat,
+    join_table,
     quotient,
 )
 from .core import (
@@ -213,11 +213,11 @@ def claim_lattice_bound(max_n: int = 8) -> str:
             if not is_lattice(S):
                 continue
             lattice_cons = all_lattice_congruences(S)
-            join = join_table_flat(S)
+            join = join_table(S)
             for block in (b for P in lattice_cons for b in P.blocks):
                 low = high = block[0]
                 for x in block:
-                    low, high = S.meet[low][x], join[high * n + x]
+                    low, high = S.meet[low][x], join[high][x]
                 assert block == S.interval(low, high), (n, block)
             bound = 1 << (n - 1)
             assert len(lattice_cons) <= bound, (n, len(lattice_cons))

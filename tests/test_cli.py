@@ -52,6 +52,19 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert code == 3
 
 
+def test_validate_deeply_nested_json_exits_three(capsys):
+    code, out, err = run(capsys, "validate", '{"meet": ' + "[" * 50000)
+    assert code == 3 and out == ""
+    assert err == "error: JSON input is nested too deeply\n"
+
+
+@pytest.mark.parametrize("n", ["true", "1.0"])
+def test_validate_n_must_be_an_integer(capsys, n):
+    code, out, err = run(capsys, "validate", f'{{"n": {n}, "meet": [[0]]}}')
+    assert code == 3 and out == ""
+    assert err == 'error: field "n" is not an integer\n'
+
+
 def test_validate_missing_file(capsys):
     code, _, _ = run(capsys, "validate", "/nonexistent/table.json")
     assert code == 3
@@ -164,6 +177,20 @@ def test_spectrum_top_checked_before_spectrum(capsys, monkeypatch):
     code, out, err = run(capsys, "spectrum", "9", "--top", "0")
     assert code == 2 and out == ""
     assert err == "error: top count must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [["1"], ["0"], ["1", "--top", "1"]])
+def test_spectrum_below_two_checked_before_spectrum(capsys, monkeypatch, argv):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("spectrum computed before n was checked")
+
+    monkeypatch.setattr(enumeration, "spectrum", no_spectrum)
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: n must be at least 2, got {argv[0]}\n"
+    # a one-element semilattice is still enumerable
+    code, out, _ = run(capsys, "enumerate", "1")
+    assert code == 0 and json.loads(out) == {"meet": [[0]], "n": 1}
 
 
 def test_spectrum_byte_stable(capsys):

@@ -13,7 +13,7 @@ from slcong.congruences import (
     count_interval_block_equivalences,
     is_lattice,
     is_meet_congruence,
-    join_table_flat,
+    join_table,
     quotient,
 )
 from slcong.core import are_isomorphic, named
@@ -25,12 +25,11 @@ from slcong.structure import tree_congruence
 
 def lattice_congruences_oracle(S):
     """Bell scan filtered by compatibility with both operations."""
-    jf = join_table_flat(S)
-    mf = S.meet_flat
+    join = join_table(S)
     return [
         ids
         for ids in _set_partition_ids(S.n)
-        if kernels.op_compatible(S.n, mf, ids) and kernels.op_compatible(S.n, jf, ids)
+        if kernels.op_compatible(S.meet, ids) and kernels.op_compatible(join, ids)
     ]
 
 
@@ -125,11 +124,11 @@ def test_listed_congruences_are_closure_fixpoints_without_duplicates():
             cons = all_meet_congruences(S)
             assert len({P.blocks for P in cons}) == len(cons)
             for P in cons:
-                assert tuple(kernels.congruence_closure(S.n, S.meet_flat, _spanning(P))) == P.block_id
+                assert kernels.congruence_closure(S.meet, _spanning(P)) == P.block_id
 
 
 def _spanning(P):
-    return [z for block in P.blocks for x in block[1:] for z in (block[0], x)]
+    return [(block[0], x) for block in P.blocks for x in block[1:]]
 
 
 def test_join_pair_matches_closure_from_scratch():
@@ -144,7 +143,7 @@ def test_join_pair_matches_closure_from_scratch():
             spanning = _spanning(P)
             for x in range(S.n):
                 for y in range(x + 1, S.n):
-                    expected = tuple(kernels.congruence_closure(S.n, S.meet_flat, spanning + [x, y]))
+                    expected = kernels.congruence_closure(S.meet, spanning + [(x, y)])
                     assert _join_pair(S.meet, P.block_id, blocks, x, y) == expected, (S.meet, P, x, y)
 
 
@@ -157,7 +156,7 @@ def test_eight_element_congruences_match_join_closed_subset_counts():
         cons = all_meet_congruences(S)
         assert len(cons) == PartialJoinStructure(S).count_bruteforce()
         for P in cons:
-            assert tuple(kernels.congruence_closure(S.n, S.meet_flat, _spanning(P))) == P.block_id
+            assert kernels.congruence_closure(S.meet, _spanning(P)) == P.block_id
 
 
 def test_chain_congruence_counts_powers():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import automorphisms, span_order
+from conftest import NAMED_POOL, automorphisms, span_order
 from slcong import enumeration, verify
 from slcong.congruences import is_lattice
 from slcong.core import (
@@ -84,6 +84,33 @@ def test_accepted_canonical_keeps_one_brute_force_orbit(rng):
             kept = {top for top, d in decisions.items() if True in d}
             assert kept and kept == {g[min(kept)] for g in group}, (S.meet, kept)
     assert moved > 0
+
+
+def _ideals_by_definition(T):
+    """Every subset X of T holding 0 that is a down-set and holds the join of
+    each upper-bounded incomparable pair inside it, as ascending bitmasks."""
+    out = []
+    for X in range(1, 1 << T.n, 2):
+        members = [x for x in range(T.n) if X >> x & 1]
+        if any(T.below_mask[x] & ~X for x in members):
+            continue
+        if any(
+            not X >> T.partial_join(a, b) & 1
+            for a in members
+            for b in members
+            if not T.leq(a, b) and not T.leq(b, a) and T.upper_bound_mask(a, b)
+        ):
+            continue
+        out.append(X)
+    return out
+
+
+def test_ideals_match_definition(rng):
+    tables = [named(name) for name in NAMED_POOL]
+    tables += [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    for S in tables:
+        for T in (S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))):
+            assert _joinclosed_downset_masks(T) == _ideals_by_definition(T), T.meet
 
 
 def test_size_pretest_rejects_only_children_the_color_test_rejects(monkeypatch, rng):

@@ -8,13 +8,12 @@ from slcong.congruences import all_meet_congruences_bruteforce
 from slcong.core import named
 
 
-def random_constraints(rng, nbits, t):
-    pair_masks, join_masks = [], []
+def random_clauses(rng, nbits, t):
+    clauses = []
     for _ in range(t):
         a, b, v = rng.sample(range(nbits), 3)
-        pair_masks.append((1 << a) | (1 << b))
-        join_masks.append(1 << v)
-    return pair_masks, join_masks
+        clauses.append(((1 << a) | (1 << b), 1 << v))
+    return clauses
 
 
 def test_selected_implementation_exposed():
@@ -24,16 +23,16 @@ def test_selected_implementation_exposed():
 def test_pure_scan_against_itertools(rng):
     for _ in range(20):
         nbits = rng.randrange(1, 13)
-        pm, jm = random_constraints(rng, max(nbits, 3), rng.randrange(0, 8))
-        pm = [m & ((1 << nbits) - 1) for m in pm]
-        jm = [m & ((1 << nbits) - 1) for m in jm]
+        full = (1 << nbits) - 1
+        clauses = random_clauses(rng, max(nbits, 3), rng.randrange(0, 8))
+        clauses = [(need & full, join & full) for need, join in clauses]
         naive = sum(
             1
             for mask in range(1 << nbits)
-            if all(not (mask & p == p and not mask & j) for p, j in zip(pm, jm))
+            if all(not (mask & need == need and not mask & join) for need, join in clauses)
         )
-        assert kernels.scan_join_closed(nbits, pm, jm) == naive
-        listed = kernels.list_join_closed(nbits, pm, jm)
+        assert kernels.scan_join_closed(nbits, clauses) == naive
+        listed = kernels.list_join_closed(nbits, clauses)
         assert len(listed) == naive and listed == sorted(listed)
 
 
@@ -52,7 +51,7 @@ def test_op_compatible_against_definition(rng):
             if ids[x] == ids[y]
             for z in range(S.n)
         )
-        assert kernels.op_compatible(S.n, S.meet_flat, ids) == compatible
+        assert kernels.op_compatible(S.meet, ids) == compatible
 
 
 def test_closure_is_least_congruence_containing_pairs():
@@ -62,7 +61,7 @@ def test_closure_is_least_congruence_containing_pairs():
             continue
         cons = all_meet_congruences_bruteforce(S)
         for x, y in itertools.combinations(range(S.n), 2):
-            ids = tuple(kernels.congruence_closure(S.n, S.meet_flat, [x, y]))
+            ids = kernels.congruence_closure(S.meet, [(x, y)])
             containing = [P for P in cons if P.block_id[x] == P.block_id[y]]
             assert any(P.block_id == ids for P in containing)
             # least: every containing congruence is coarser
@@ -75,5 +74,5 @@ def test_closure_is_least_congruence_containing_pairs():
 def test_closure_block_ids_dense_first_occurrence(rng):
     for _ in range(20):
         S = random_semilattice(rng, rng.randrange(1, 7))
-        ids = kernels.congruence_closure(S.n, S.meet_flat, [])
-        assert ids == list(range(S.n))
+        ids = kernels.congruence_closure(S.meet, [])
+        assert ids == tuple(range(S.n))

@@ -9,6 +9,7 @@ import os
 
 import slcong.cli
 from slcong import congruences, enumeration, joinsub
+from slcong.core import named
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
@@ -42,6 +43,21 @@ def test_tracer_installs_counts_and_uninstalls(capsys):
     assert metrics["joinsub.route.bruteforce"][0] == 0
     assert joinsub.PartialJoinStructure.__dict__["count"] is count
     assert congruences.all_meet_congruences is enumerate_congruences
+
+
+def test_tracer_reads_the_scan_width_from_the_first_argument(capsys):
+    # the mask counts are 2^args[0], so the scan kernels must keep nbits first
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert slcong.cli.main(["count", "grid2x3", "--method", "subsets"]) == 0
+        joinsub.verify_duality(named("b4"))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["kernels.scan_join_closed.masks"][0] == 32
+    assert metrics["kernels.list_join_closed.masks"][0] == 8
 
 
 def test_enumeration_searches_once_per_kept_child(monkeypatch, capsys):
