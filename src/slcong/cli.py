@@ -177,9 +177,9 @@ def _enum_filter(name: str):
 
 
 def cmd_enumerate(args) -> int:
+    keep = _enum_filter(args.filter) if args.filter else None
     tables = enumeration.enumerate_semilattices(args.n, max_n=args.max_n)
-    if args.filter:
-        keep = _enum_filter(args.filter)
+    if keep:
         tables = [S for S in tables if keep(S)]
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -4,7 +4,9 @@ A congruence of a meet semilattice is an equivalence relation compatible
 with the meet; its blocks are convex and meet-closed.  A partition is
 stored only as its dense first-occurrence block ids, the form the closure
 kernel returns, so each partition has one representation and congruence
-lists are reproducible.
+lists are reproducible.  That kernel, ``kernels.congruence_closure``, is
+the one closure: generated congruences grow from the identity and
+enumeration grows each found congruence by one cover pair.
 """
 
 from __future__ import annotations
@@ -103,60 +105,13 @@ def is_meet_congruence(S: SemilatticeTable, P: Partition) -> bool:
 
 
 def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
-    """Least meet congruence collapsing every given pair (union-find fixpoint)."""
+    """Least meet congruence collapsing every given pair."""
     pairs = list(pairs)
     for x, y in pairs:
         if not (0 <= x < S.n and 0 <= y < S.n):
             raise SizeMismatch(f"pair ({x},{y}) out of range")
-    return Partition(kernels.congruence_closure(S.meet, pairs))
-
-
-def _join_pair(meet, ids, blocks, a: int, b: int) -> tuple[int, ...]:
-    """The least congruence above the congruence ``ids`` that relates a and b.
-
-    ``meet`` holds the rows of the meet table, ``ids`` is a dense
-    first-occurrence block-id tuple and ``blocks[k]`` lists the members of
-    its block k.  Starting from these blocks, two blocks merge at a time,
-    the one with the larger label taking the smaller label, and for each
-    pair (x, y) that merged two blocks, (x^z, y^z) is pushed for every z.
-    Nothing else is rescanned: the result is the equivalence generated by
-    the pairs of ``ids`` and the merging pairs, and each generator is
-    compatible with the meet, a pair of ``ids`` because ``ids`` is a
-    congruence and a merging pair because its meets with every z were
-    pushed and so end up related.  Compatibility carries along chains of
-    generators by transitivity, and every merge is forced, so the result is
-    the join of ``ids`` and Cg(a, b).  Returns dense first-occurrence block
-    ids, as ``kernels.congruence_closure`` does.
-    """
-    label = list(ids)
-    members = list(blocks)  # merged lists are new; the blocks are not mutated
-    queue = [a, b]
-    while queue:
-        y = queue.pop()
-        x = queue.pop()
-        kx = label[x]
-        ky = label[y]
-        if kx == ky:
-            continue
-        if kx > ky:
-            kx, ky = ky, kx
-        moved = members[ky]
-        for w in moved:
-            label[w] = kx
-        members[kx] = members[kx] + moved
-        members[ky] = None
-        for u, v in zip(meet[x], meet[y]):
-            if label[u] != label[v]:
-                queue += (u, v)
-    # a merged block keeps its least label, so the live labels are already in
-    # first-occurrence order and renumbering only closes the gaps
-    dense = []
-    live = 0
-    for m in members:
-        dense.append(live)
-        if m is not None:
-            live += 1
-    return tuple(map(dense.__getitem__, label))
+    singletons = [(x,) for x in range(S.n)]
+    return Partition(kernels.congruence_closure(S.meet, tuple(range(S.n)), singletons, pairs))
 
 
 def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
@@ -172,10 +127,11 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
       inside the block too.
 
     The worklist holds dense first-occurrence block-id tuples; each found
-    tuple is joined (``_join_pair``, starting from its blocks) with one
-    cover per pair of its blocks that some cover joins, since covers
-    between the same two blocks give the same join.  The Bell scan stays
-    available as an independent oracle (``all_meet_congruences_bruteforce``).
+    tuple is joined (``kernels.congruence_closure``, starting from its
+    blocks) with one cover per pair of its blocks that some cover joins,
+    since covers between the same two blocks give the same join.  The Bell
+    scan stays available as an independent oracle
+    (``all_meet_congruences_bruteforce``).
     """
     if S.n > CONGRUENCE_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
@@ -200,7 +156,7 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
             if key in joined_blocks:
                 continue
             joined_blocks.add(key)
-            joined = _join_pair(meet, ids, blocks, a, b)
+            joined = kernels.congruence_closure(meet, ids, blocks, [(a, b)])
             if joined not in found:
                 found.add(joined)
                 work.append(joined)

@@ -240,12 +240,12 @@ def validate(raw_table) -> SemilatticeTable:
         raise MalformedTable("table must be a nonempty square matrix")
     n = len(raw_table)
     rows = []
-    for row in raw_table:
+    for x, row in enumerate(raw_table):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise MalformedTable(f"expected {n} rows of length {n}")
-        for v in row:
+        for y, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise MalformedTable(f"entry {v!r} is not an element index")
+                raise MalformedTable(f"meet[{x}][{y}] is not an element index in 0..{n - 1}")
         rows.append(tuple(row))
     meet = tuple(rows)
     for x in range(n):

@@ -1,4 +1,5 @@
-"""The hot loops: join-closed subset scans, compatibility checks, closure.
+"""The hot loops: join-closed subset scans, compatibility checks, and the
+package's one congruence closure, which merges blocks.
 
 Subsets of S+ = S\\{0} are bitmasks: element i of S+ (i = 1..n-1) is bit
 i-1.  A clause is a pair of such masks (need, join): a subset violates it
@@ -50,30 +51,50 @@ def op_compatible(op, block_id):
     return True
 
 
-def congruence_closure(meet, pairs):
-    """Least meet-compatible equivalence relating every (x, y) in pairs.
+def congruence_closure(meet, block_id, blocks, pairs):
+    """The least congruence above the congruence ``block_id`` that relates
+    every (x, y) in pairs.
 
-    Returns dense block ids numbered by first occurrence, as a tuple.
+    ``block_id`` holds dense first-occurrence block ids and ``blocks[k]``
+    lists the members of its block k.  Starting from these blocks, two
+    blocks merge at a time, the one with the larger label taking the
+    smaller label, and for each pair (x, y) that merged two blocks, (x^z,
+    y^z) is pushed for every z.  Nothing else is rescanned: the result is
+    the equivalence generated by the pairs of ``block_id``, the given pairs
+    and the merging pairs.  Each given pair is related and each generator is
+    compatible with the meet: a pair of ``block_id`` because it is a
+    congruence, and a merging pair because its meets with every z were
+    pushed and so end up related.  Compatibility carries along chains of
+    generators by transitivity, and every merge is forced, so the result is
+    the least such congruence.  Returns dense first-occurrence block ids, as
+    a tuple.
     """
-    n = len(meet)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = list(pairs)
+    label = list(block_id)
+    members = list(blocks)  # merged lists are new; the blocks are not mutated
+    queue = [v for pair in pairs for v in pair]
     while queue:
-        x, y = queue.pop()
-        rx = find(x)
-        ry = find(y)
-        if rx == ry:
+        y = queue.pop()
+        x = queue.pop()
+        kx = label[x]
+        ky = label[y]
+        if kx == ky:
             continue
-        parent[ry] = rx
-        for a, b in zip(meet[x], meet[y]):
-            if find(a) != find(b):
-                queue.append((a, b))
-    ids = {}
-    return tuple(ids.setdefault(find(x), len(ids)) for x in range(n))
+        if kx > ky:
+            kx, ky = ky, kx
+        moved = members[ky]
+        for w in moved:
+            label[w] = kx
+        members[kx] = members[kx] + moved
+        members[ky] = None
+        for u, v in zip(meet[x], meet[y]):
+            if label[u] != label[v]:
+                queue += (u, v)
+    # a merged block keeps its least label, so the live labels are already in
+    # first-occurrence order and renumbering only closes the gaps
+    dense = []
+    live = 0
+    for m in members:
+        dense.append(live)
+        if m is not None:
+            live += 1
+    return tuple(map(dense.__getitem__, label))

@@ -65,6 +65,16 @@ def test_validate_n_must_be_an_integer(capsys, n):
     assert err == 'error: field "n" is not an integer\n'
 
 
+@pytest.mark.parametrize(
+    "entry", ["[" + ", ".join(["0"] * 3000) + "]", "9" * 4000], ids=["long-list", "long-integer"]
+)
+def test_validate_bad_entry_names_its_position(capsys, entry):
+    code, out, err = run(capsys, "validate", f'{{"meet": [[0, {entry}], [0, 1]]}}')
+    assert code == 2 and out == ""
+    assert err == "invalid semilattice: meet[0][1] is not an element index in 0..1\n"
+    assert err.count("\n") == 1 and len(err) < 100
+
+
 def test_validate_missing_file(capsys):
     code, _, _ = run(capsys, "validate", "/nonexistent/table.json")
     assert code == 3
@@ -231,6 +241,16 @@ def test_enumerate_filters(capsys):
 def test_enumerate_bad_filter(capsys):
     code, _, _ = run(capsys, "enumerate", "4", "--filter", "bogus")
     assert code == 3
+
+
+def test_enumerate_filter_checked_before_enumeration(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before --filter was checked")
+
+    monkeypatch.setattr(enumeration, "enumerate_semilattices", no_enumeration)
+    code, out, err = run(capsys, "enumerate", "9", "--filter", "bogus")
+    assert code == 3 and out == ""
+    assert err == "error: unknown filter 'bogus'\n"
 
 
 def test_enumerate_too_large(capsys):

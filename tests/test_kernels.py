@@ -60,8 +60,9 @@ def test_closure_is_least_congruence_containing_pairs():
         if S.n > 6:
             continue
         cons = all_meet_congruences_bruteforce(S)
+        singletons = [(x,) for x in range(S.n)]
         for x, y in itertools.combinations(range(S.n), 2):
-            ids = kernels.congruence_closure(S.meet, [(x, y)])
+            ids = kernels.congruence_closure(S.meet, tuple(range(S.n)), singletons, [(x, y)])
             containing = [P for P in cons if P.block_id[x] == P.block_id[y]]
             assert any(P.block_id == ids for P in containing)
             # least: every containing congruence is coarser
@@ -74,5 +75,5 @@ def test_closure_is_least_congruence_containing_pairs():
 def test_closure_block_ids_dense_first_occurrence(rng):
     for _ in range(20):
         S = random_semilattice(rng, rng.randrange(1, 7))
-        ids = kernels.congruence_closure(S.meet, [])
+        ids = kernels.congruence_closure(S.meet, tuple(range(S.n)), [(x,) for x in range(S.n)], [])
         assert ids == tuple(range(S.n))

@@ -1,6 +1,12 @@
 import pytest
 
-from slcong.congruences import Partition, is_meet_congruence, quotient
+from conftest import NAMED_POOL
+from slcong.congruences import (
+    Partition,
+    all_meet_congruences_bruteforce,
+    is_meet_congruence,
+    quotient,
+)
 from slcong.core import are_isomorphic, attach_above, extend_below, named, validate
 from slcong.enumeration import enumerate_semilattices
 from slcong.errors import NotConvexSubsemilattice, NotQuasiTree, SemilatticeError
@@ -35,6 +41,37 @@ def test_tree_congruence_b4():
 
 def test_tree_congruence_n5():
     assert tree_congruence(named("n5")).blocks == ((0, 1, 2, 3, 4),)
+
+
+def _ubta_pairs(S):
+    """(a^b, a v b) for every incomparable a, b with an upper bound, from the
+    meet table alone."""
+    meet = S.meet
+    pairs = []
+    for a in range(S.n):
+        for b in range(a + 1, S.n):
+            if meet[a][b] in (a, b):
+                continue
+            bounds = [z for z in range(S.n) if meet[a][z] == a and meet[b][z] == b]
+            joins = [u for u in bounds if all(meet[u][z] == u for z in bounds)]
+            if joins:
+                pairs.append((meet[a][b], joins[0]))
+    return pairs
+
+
+def test_tree_congruence_is_least_bell_congruence_relating_ubtas(rng):
+    pool = [named(name) for name in NAMED_POOL]
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            pool += [S, S.relabel([0] + rng.sample(range(1, n), n - 1))]
+    for S in pool:
+        pairs = _ubta_pairs(S)
+        containing = [
+            P for P in all_meet_congruences_bruteforce(S) if all(P.relates(x, y) for x, y in pairs)
+        ]
+        least = max(containing, key=lambda P: P.num_blocks)
+        assert all(least.refines(P) for P in containing)
+        assert tree_congruence(S) == least, S.meet
 
 
 def test_tcon_not_minimal_tree_quotient():

@@ -88,3 +88,18 @@ def test_verify_walks_the_enumeration_once(monkeypatch, capsys):
     # one search per class at n = 2..6 (1 + 2 + 5 + 15 + 53), although the
     # claims ask for n = 2, 3, ... in turn
     assert tracer.metrics()["core.canonical_with_perm.calls"][0] == 76
+
+
+def test_tracer_sees_the_joins_of_congruence_enumeration():
+    # enumeration joins through the closure kernel, so the tracer counts
+    # every join; b4 has 7 congruences, reached by 13 joins
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        cons = congruences.all_meet_congruences(named("b4"))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert len(cons) == 7
+    assert metrics["kernels.congruence_closure.calls"][0] == 13
+    assert metrics["congruences.closures_per_congruence"][0] == 13 / 7
