@@ -57,7 +57,7 @@ def _load_table(source: str) -> core.SemilatticeTable:
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError('field "n" is not an integer')
         if n != table.n:
-            raise ValueError(f'field "n" is {n} but the table has {table.n} rows')
+            raise ValueError(f'field "n" does not match the table\'s {table.n} rows')
     return table
 
 

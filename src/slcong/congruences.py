@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .core import SemilatticeTable, _bits, validate
+from .core import SemilatticeTable, validate
 from .errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
 
 CONGRUENCE_MAX_N = 10  # all_meet_congruences and all_lattice_congruences
@@ -216,20 +216,12 @@ def join_table(S: SemilatticeTable) -> tuple[tuple[int, ...], ...]:
     """Total join table of a lattice as rows, like ``S.meet``."""
     if not is_lattice(S):
         raise NotALattice("no greatest element")
-    n = S.n
-    meet = S.meet
-    above = S.above_mask
-    rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            it = _bits(above[x] & above[y])
-            v = next(it)
-            for z in it:
-                v = meet[v][z]
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
+    rng = range(S.n)
+
+    def join(x: int, y: int) -> int:  # 0 is the identity; partial_join covers S+
+        return S.partial_join(x, y) if x and y else x or y
+
+    return tuple(tuple(join(x, y) for y in rng) for x in rng)
 
 
 def all_lattice_congruences(S: SemilatticeTable) -> list[Partition]:

@@ -175,11 +175,6 @@ class SemilatticeTable:
     def has_top(self) -> bool:
         return len(self.maximal_elements) == 1
 
-    def top(self) -> int:
-        if not self.has_top():
-            raise SemilatticeError("no greatest element")
-        return self.maximal_elements[0]
-
     def subsemilattice(self, elements: Iterable[int]) -> tuple["SemilatticeTable", tuple[int, ...]]:
         """Extract a meet-closed subset as a standalone semilattice.
 
@@ -323,6 +318,8 @@ _NAMED_COVERS = {
     "f": [[], [0], [0], [0], [1, 2], [2, 3]],
     # n6: chain 0 < 1 < 2 < 3 beside atom 4, common top 5
     "n6": [[], [0], [1], [2], [0], [3, 4]],
+    # grid2x3: the 2-chain times the 3-chain, (i, j) -> 3*i + j
+    "grid2x3": [[], [0], [1], [0], [1, 3], [2, 4]],
 }
 
 
@@ -335,17 +332,6 @@ def named(name: str) -> SemilatticeTable:
         return SemilatticeTable(
             tuple(tuple(min(i, j) for j in range(k)) for i in range(k))
         )
-    if name == "grid2x3":
-        # direct product of the 2-chain and the 3-chain, (i, j) -> 3*i + j
-        rows = []
-        for i in range(2):
-            for j in range(3):
-                rows.append(
-                    tuple(
-                        3 * min(i, p) + min(j, q) for p in range(2) for q in range(3)
-                    )
-                )
-        return SemilatticeTable(tuple(rows))
     if name in _NAMED_COVERS:
         return from_covers(_NAMED_COVERS[name])
     raise UnknownName(name)

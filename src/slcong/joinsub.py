@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .congruences import Partition, all_meet_congruences, is_meet_congruence
+from .congruences import CONGRUENCE_MAX_N, Partition, all_meet_congruences, is_meet_congruence
 from .core import SemilatticeTable, _bits
 from .errors import (
     ContainsZero,
@@ -25,7 +25,6 @@ from .errors import (
 
 BRUTE_FORCE_MAX_N = 25
 INCLUSION_EXCLUSION_MAX_T = 20
-DUALITY_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -163,58 +162,62 @@ class DualityReport:
     bijective: bool
     order_reversing: bool
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "subalgebra_count": self.subalgebra_count,
-            "congruence_count": self.congruence_count,
-            "bijective": self.bijective,
-            "order_reversing": self.order_reversing,
-        }
-
-
-def _relation_mask(P: Partition) -> int:
-    """P as a relation on n elements: bit x*n + y is set iff x ~ y."""
-    n = P.n
-    out = 0
-    for block in P.blocks:
-        row = 0
-        for y in block:
-            row |= 1 << y
-        for x in block:
-            out |= row << (x * n)
-    return out
-
 
 def verify_duality(S: SemilatticeTable) -> DualityReport:
     """Check that the dual map is an order anti-isomorphism onto Con(S).
 
-    Bijective onto the congruences, and mi <= mj iff dual(mj) <= dual(mi).
+    dual(X) relates x and y iff X meets the down-sets of x and y in the same
+    set.  For each join-closed X the check asks:
+
+    - steps: dual(X u {x}) refines dual(X) for each x not in X with
+      X u {x} join-closed;
+    - inverse: X is the set of nonzero least elements of the blocks of
+      dual(X) (the least element of a block is the meet of its members);
+    - dual(X) is a meet congruence;
+
+    and then that the duals are exactly ``all_meet_congruences(S)``.  The
+    inverse makes the map injective, so it is a bijection onto Con(S), and
+    X <= Y iff dual(Y) refines dual(X):
+
+    (a) Let X < Y be join-closed and x maximal in Y \\ X.  Then X u {x} is
+        closed: for a in X with {a, x} upper bounded, a v x is in Y and lies
+        above x, so it is in X or is x.  So every inclusion is a chain of
+        checked steps, and refinement is transitive.
+    (b) If dual(Y) refines dual(X), each u in X is least in its
+        dual(X)-block, so also in its dual(Y)-block; by the inverse on Y,
+        u is in Y.
 
     Raises DualityViolation with the offending subsets if any check fails
     (which would indicate an implementation bug, never expected).
     """
-    if S.n > DUALITY_MAX_N:
-        raise TooLarge(f"n={S.n} exceeds bound {DUALITY_MAX_N}")
+    if S.n > CONGRUENCE_MAX_N:
+        raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
     pj = PartialJoinStructure(S)
     masks = pj.join_closed_masks()
-    duals = [pj._dual_of_mask(m) for m in masks]
-    seen: dict[Partition, int] = {}
-    for m, d in zip(masks, duals):
-        prev = seen.get(d)
-        if prev is not None:
-            raise DualityViolation(f"subsets {prev:b} and {m:b} share a dual")
-        seen[d] = m
+    duals = {m: pj._dual_of_mask(m) for m in masks}
+    full = (1 << (S.n - 1)) - 1
+    for m, d in duals.items():
+        for x in _bits(full & ~m):
+            step = duals.get(m | 1 << x)
+            if step is not None and not step.refines(d):
+                raise DualityViolation(
+                    f"subsets {m:b}, {m | 1 << x:b}: inclusion is not reversed refinement"
+                )
+    meet = S.meet
+    for m, d in duals.items():
         if not is_meet_congruence(S, d):
             raise DualityViolation(f"dual of {m:b} is not a congruence")
+        least = 0
+        for block in d.blocks[1:]:  # block 0 holds 0
+            v = block[0]
+            for y in block:
+                v = meet[v][y]
+            least |= 1 << v
+        if least != m << 1:
+            raise DualityViolation(f"subset {m:b} is not the set of block minima of its dual")
     cons = all_meet_congruences(S)
-    if set(cons) != set(seen):
+    if set(cons) != set(duals.values()):
         raise DualityViolation("dual image differs from the congruence set")
-    relations = [_relation_mask(d) for d in duals]
-    for mi, ri in zip(masks, relations):
-        for mj, rj in zip(masks, relations):
-            if (mi & ~mj == 0) != (rj & ~ri == 0):
-                raise DualityViolation(f"subsets {mi:b}, {mj:b}: inclusion is not reversed refinement")
     return DualityReport(
         n=S.n,
         subalgebra_count=len(masks),

@@ -105,7 +105,8 @@ def nucleus_table(S: SemilatticeTable) -> SemilatticeTable:
 
 
 def skeleton(S: SemilatticeTable) -> SemilatticeTable:
-    """The quotient by the tree congruence, which is always a tree."""
+    """The quotient of a quasi-tree by its tree congruence, a tree; raises
+    NotQuasiTree unless S is a quasi-tree."""
     return _quasi_tree_parts(S)[1]
 
 

@@ -65,6 +65,12 @@ def test_validate_n_must_be_an_integer(capsys, n):
     assert err == 'error: field "n" is not an integer\n'
 
 
+def test_validate_mismatched_n_is_reported_without_its_value(capsys):
+    code, out, err = run(capsys, "validate", '{"n": ' + "9" * 4000 + ', "meet": [[0]]}')
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and len(err) < 100
+
+
 @pytest.mark.parametrize(
     "entry", ["[" + ", ".join(["0"] * 3000) + "]", "9" * 4000], ids=["long-list", "long-integer"]
 )

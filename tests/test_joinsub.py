@@ -199,7 +199,7 @@ def test_verify_duality_all_six_element():
 
 def test_verify_duality_bound():
     with pytest.raises(TooLarge):
-        verify_duality(named("chain_9"))
+        verify_duality(named("chain_11"))
 
 
 @pytest.mark.parametrize("name", ["chain_3", "b4", "n5"])
@@ -216,3 +216,29 @@ def test_verify_duality_detects_broken_reversal(monkeypatch, name):
     monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", swapped)
     with pytest.raises(DualityViolation, match="not reversed refinement"):
         verify_duality(S)
+
+
+def test_verify_duality_rejects_a_dual_twisted_by_an_automorphism(monkeypatch):
+    # composing the dual with the swap of b4's atoms 1 and 2 (S+ bits 0 and 1)
+    # is still an order anti-isomorphism onto the congruences, but not the dual
+    dual_of_mask = PartialJoinStructure._dual_of_mask
+
+    def twisted(self, mask):
+        swapped = mask & ~0b11 | (mask & 1) << 1 | (mask >> 1) & 1
+        return dual_of_mask(self, swapped)
+
+    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", twisted)
+    with pytest.raises(DualityViolation):
+        verify_duality(named("b4"))
+
+
+def test_dual_reverses_inclusion_pairwise():
+    # the exhaustive comparison: X <= Y iff dual(Y) refines dual(X)
+    tables = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    tables += [named(name) for name in NAMED_POOL]
+    for S in tables:
+        pj = PartialJoinStructure(S)
+        duals = [(m, pj._dual_of_mask(m)) for m in pj.join_closed_masks()]
+        for x, dx in duals:
+            for y, dy in duals:
+                assert (x & ~y == 0) == dy.refines(dx), (S.meet, x, y)

@@ -60,6 +60,20 @@ def test_tracer_reads_the_scan_width_from_the_first_argument(capsys):
     assert metrics["kernels.list_join_closed.masks"][0] == 8
 
 
+def test_duality_check_keeps_both_routes():
+    # the duality claim cross-checks the subset side against the congruence
+    # side, so one check must list both, once each
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        joinsub.verify_duality(named("b4"))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["congruences.all_meet_congruences.calls"][0] == 1
+    assert metrics["kernels.list_join_closed.calls"][0] == 1
+
+
 def test_enumeration_searches_once_per_kept_child(monkeypatch, capsys):
     # an empty level store, so earlier tests cannot have filled it
     monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
