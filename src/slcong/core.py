@@ -23,6 +23,7 @@ from .errors import (
     NotComparable,
     NotIdempotent,
     SemilatticeError,
+    TooLarge,
     UnknownName,
 )
 
@@ -306,6 +307,7 @@ def from_covers(covers: list[list[int]]) -> SemilatticeTable:
 
 
 _CHAIN_RE = re.compile(r"^chain_([1-9]\d*)$")
+CHAIN_MAX_K = 1000  # chain_k builds a k x k table
 
 _NAMED_COVERS = {
     # b4: atoms 1,2 under top 3
@@ -328,7 +330,10 @@ def named(name: str) -> SemilatticeTable:
     """Fixed catalog tables; labelings are documented in docs/formats.md."""
     m = _CHAIN_RE.match(name)
     if m:
-        k = int(m.group(1))
+        digits = m.group(1)
+        if len(digits) > len(str(CHAIN_MAX_K)) or int(digits) > CHAIN_MAX_K:
+            raise TooLarge(f"chain_k needs k <= {CHAIN_MAX_K}")
+        k = int(digits)
         return SemilatticeTable(
             tuple(tuple(min(i, j) for j in range(k)) for i in range(k))
         )
@@ -393,12 +398,26 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 # inside the class of the largest (down-set size, up-set size) seed.
 #
 # Besides the canonical certificate, the search returns generators of
-# Aut(S): every transposition it merges into an interchangeability class,
-# and best⁻¹ ∘ pos_of for every leaf whose certificate equals the best one.
-# Bounding never cuts a leaf of the least certificate, and a leaf skipped
-# for an interchangeable element is the image of a visited one under a
-# product of merged transpositions, so together these generate the whole
-# group.
+# Aut(S): best⁻¹ ∘ pos_of for every leaf whose certificate equals the best
+# one, and each such generator prunes the search.  The argument:
+#   1. Aut(S) keeps colors, so it maps the search tree onto itself, and it
+#      keeps each leaf's certificate.  Two leaves have equal certificates
+#      iff they differ by an automorphism.
+#   2. Backjump.  A generator γ from a leaf equal to the best fixes their
+#      common prefix ν pointwise and maps the subtree of the leaf's child at
+#      ν onto the subtree of the best's child at ν, which the depth-first
+#      search has already finished.  So the rest of the first subtree holds
+#      only certificates already seen, and the search resumes at ν.
+#   3. Orbit skip.  The same holds for any δ in the group spanned by the
+#      generators that fix ν pointwise, so a child of ν in the orbit of a
+#      processed sibling under that group is skipped.  Generators that move
+#      ν map ν's subtree elsewhere and must not be used.
+#   4. Generation.  Bounding never cuts a leaf of least certificate.  Every
+#      such leaf is either visited, and then recorded against the best, or
+#      it is the image of an earlier one under recorded generators (2, 3).
+#      So the generators span Aut(S), which the orbit tests of
+#      ``enumeration`` rely on.  The first such leaf in search order is
+#      never skipped, so it is the best one, as without pruning.
 # ---------------------------------------------------------------------------
 
 
@@ -419,19 +438,20 @@ def _refine(S: SemilatticeTable) -> list[int]:
             return color
 
 
-def _swap_is_automorphism(S: SemilatticeTable, x: int, y: int) -> bool:
-    meet = S.meet
-    n = S.n
-
-    def t(v: int) -> int:
-        return y if v == x else x if v == y else v
-
-    for p in range(n):
-        tp = t(p)
-        for q in range(p, n):
-            if t(meet[p][q]) != meet[tp][t(q)]:
-                return False
-    return True
+def _orbit(points: list[int], generators: list[list[int]]) -> int:
+    """Bitmask of the orbit of some points under the group the generators span."""
+    mask = 0
+    for x in points:
+        mask |= 1 << x
+    todo = list(points)
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            y = g[x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                todo.append(y)
+    return mask
 
 
 def _canonical_search(S: SemilatticeTable, colors: list[int] | None = None):
@@ -443,6 +463,12 @@ def _canonical_search(S: SemilatticeTable, colors: list[int] | None = None):
     automorphisms of S, each a list g with g[x] the image of x, that
     generate the whole automorphism group.  ``colors`` is ``_refine(S)``
     when the caller already has it.
+
+    Each generator comes from a leaf whose certificate equals the best one,
+    and prunes the search: by a backjump to the first depth where that leaf
+    leaves the best one's path, and, at each node, by skipping a child in
+    the orbit of a processed sibling under the generators that fix the
+    node's prefix pointwise.  The comment block above gives the argument.
     """
     n = S.n
     meet = S.meet
@@ -450,78 +476,63 @@ def _canonical_search(S: SemilatticeTable, colors: list[int] | None = None):
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(color[x], []).append(x)
-    class_order = sorted(members)
     pos_class: list[int] = []
-    for c in class_order:
+    for c in sorted(members):
         pos_class.extend([c] * len(members[c]))
 
-    # interchangeability: one search branch per orbit of transposition
-    # automorphisms inside a class
-    group = list(range(n))
     generators: list[list[int]] = []
-
-    def find(v: int) -> int:
-        while group[v] != v:
-            group[v] = group[group[v]]
-            v = group[v]
-        return v
-
-    for c in class_order:
-        elems = members[c]
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                a, b = elems[i], elems[j]
-                if find(a) != find(b) and _swap_is_automorphism(S, a, b):
-                    group[find(b)] = find(a)
-                    swap = list(range(n))
-                    swap[a], swap[b] = b, a
-                    generators.append(swap)
-
     pos_of = [-1] * n
     chosen = [-1] * n
     rows: list = [None] * n
-    best: dict = {"rows": None, "perm": None, "chosen": None}
+    best_rows = best_perm = best_chosen = None
 
-    def rec(p: int) -> None:
+    def rec(p: int) -> int:
+        """Search below the prefix chosen[:p]; return n, or the depth that
+        a leaf equal to the best backjumps to."""
+        nonlocal best_rows, best_perm, best_chosen
         if p == n:
             cur = tuple(rows)
-            if best["rows"] is None or cur < best["rows"]:
-                best["rows"] = cur
-                best["perm"] = pos_of.copy()
-                best["chosen"] = chosen.copy()
-            elif cur == best["rows"]:
-                at = best["chosen"]
-                generators.append([at[q] for q in pos_of])
-            return
-        prefix_tight = best["rows"] is not None and all(
-            rows[j] == best["rows"][j] for j in range(p)
-        )
-        cands = []
-        seen = set()
-        for e in members[pos_class[p]]:
-            if pos_of[e] >= 0:
-                continue
-            g = find(e)
-            if g in seen:
-                continue
-            seen.add(g)
-            erow = meet[e]
-            row = tuple(pos_of[erow[chosen[j]]] for j in range(p))
-            cands.append((row, e))
+            if best_rows is None or cur < best_rows:
+                best_rows, best_perm, best_chosen = cur, pos_of.copy(), chosen.copy()
+            elif cur == best_rows:
+                generators.append([best_chosen[q] for q in pos_of])
+                return next(q for q in range(n) if chosen[q] != best_chosen[q])
+            return n
+        prefix = chosen[:p]
+        cands = [
+            (tuple([pos_of[meet[e][c]] for c in prefix]), e)
+            for e in members[pos_class[p]]
+            if pos_of[e] < 0
+        ]
         cands.sort()
+        done: list[int] = []
+        orbit = 0  # bitmask: the orbits of done under stab
+        stab: list[list[int]] = []
+        checked = 0  # len(generators) when stab was last filtered
         for row, e in cands:
-            if prefix_tight and row > best["rows"][p]:
+            if done:
+                if len(generators) > checked:
+                    checked = len(generators)
+                    stab = [g for g in generators if all(g[x] == x for x in prefix)]
+                    orbit = _orbit(done, stab)
+                elif not orbit >> done[-1] & 1:
+                    orbit |= _orbit(done[-1:], stab)
+                if orbit >> e & 1:
+                    continue
+            if best_rows is not None and row > best_rows[p] and tuple(rows[:p]) == best_rows[:p]:
                 break
             pos_of[e] = p
             chosen[p] = e
             rows[p] = row
-            rec(p + 1)
+            d = rec(p + 1)
             pos_of[e] = -1
-            chosen[p] = -1
-            rows[p] = None
+            if d < p:
+                return d
+            done.append(e)
+        return n
 
     rec(0)
-    return best["rows"], best["perm"], generators
+    return best_rows, best_perm, generators
 
 
 def canonical_key(S: SemilatticeTable):

@@ -30,6 +30,7 @@ from . import kernels
 from .core import (
     SemilatticeTable,
     _bits,
+    _orbit,
     _refine,
     are_isomorphic,
     canonical_with_perm,
@@ -124,11 +125,8 @@ def _accepted_canonical(child: SemilatticeTable) -> tuple[SemilatticeTable, list
     if colors[n - 1] != max(colors):
         return None
     K, perm, generators = canonical_with_perm(child, colors)
-    target = perm.index(n - 1)
-    if target != n - 1:
-        images = [[1 << y for y in g] for g in generators]
-        if 1 << target not in _mask_orbit(1 << (n - 1), images):
-            return None
+    if not _orbit([n - 1], generators) >> perm.index(n - 1) & 1:
+        return None
     return K, generators
 
 

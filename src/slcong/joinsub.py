@@ -45,9 +45,6 @@ class PartialJoinStructure:
             ((1 << (a - 1)) | (1 << (b - 1)), 1 << (v - 1)) for a, b, v in self.host.ubtas
         )
 
-    def join(self, x: int, y: int) -> int | None:
-        return self.host.partial_join(x, y)
-
     def _as_mask(self, elements) -> int:
         mask = 0
         for e in elements:
@@ -159,8 +156,6 @@ class DualityReport:
     n: int
     subalgebra_count: int
     congruence_count: int
-    bijective: bool
-    order_reversing: bool
 
 
 def verify_duality(S: SemilatticeTable) -> DualityReport:
@@ -218,10 +213,4 @@ def verify_duality(S: SemilatticeTable) -> DualityReport:
     cons = all_meet_congruences(S)
     if set(cons) != set(duals.values()):
         raise DualityViolation("dual image differs from the congruence set")
-    return DualityReport(
-        n=S.n,
-        subalgebra_count=len(masks),
-        congruence_count=len(cons),
-        bijective=True,
-        order_reversing=True,
-    )
+    return DualityReport(n=S.n, subalgebra_count=len(masks), congruence_count=len(cons))

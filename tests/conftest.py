@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from slcong.core import SemilatticeTable, _bits, validate
+from slcong.core import SemilatticeTable, _bits, from_covers, validate
 from slcong.enumeration import _extend_checked
 
 NAMED_POOL = ("chain_1", "chain_2", "chain_4", "chain_6", "b4", "n5", "m3", "f", "n6", "grid2x3")
@@ -32,6 +32,24 @@ def random_tree(rng: random.Random, n: int) -> SemilatticeTable:
         x = rng.randrange(S.n)
         S = _extend_checked(S, S.below_mask[x])
     return S
+
+
+def triangle_square() -> SemilatticeTable:
+    """Atoms 1-7 and maximal elements 8-14 above the edges of a triangle
+    (8-10) and a square (11-14), with |Aut| = 48.  Color refinement cannot
+    tell the triangle's edges from the square's."""
+    edges = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+    return from_covers([[]] + [[0]] * 7 + [list(e) for e in edges])
+
+
+def three_b4() -> SemilatticeTable:
+    """Three copies of b4 sharing their least element, with |Aut| = 48."""
+    return from_covers([[], [0], [0], [1, 2], [0], [0], [4, 5], [0], [0], [7, 8]])
+
+
+def star(k: int) -> SemilatticeTable:
+    """k atoms above 0, with |Aut| = k!."""
+    return from_covers([[]] + [[0]] * k)
 
 
 def automorphisms(S: SemilatticeTable) -> list[tuple[int, ...]]:

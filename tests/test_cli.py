@@ -124,6 +124,12 @@ def test_count_default_route_beyond_subset_bound(capsys):
     assert code == 0 and out == f"incl-excl: {1 << 29} = 32*2^(30-6)\n"
 
 
+def test_count_chain_beyond_catalog_bound(capsys):
+    code, out, err = run(capsys, "count", "chain_1001")
+    assert code == 2 and out == ""
+    assert err == "error: chain_k needs k <= 1000\n"
+
+
 def test_count_json_all(capsys):
     code, out, _ = run(capsys, "count", "b4", "--method=all", "--format=json")
     assert code == 0

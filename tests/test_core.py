@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from conftest import NAMED_POOL, automorphisms, random_semilattice, random_tree, span_order
+from conftest import (
+    NAMED_POOL,
+    automorphisms,
+    random_semilattice,
+    random_tree,
+    span_order,
+    star,
+    three_b4,
+    triangle_square,
+)
 from slcong.core import (
     attach_above,
     are_isomorphic,
@@ -23,6 +32,7 @@ from slcong.errors import (
     NotComparable,
     NotIdempotent,
     SemilatticeError,
+    TooLarge,
     UnknownName,
 )
 from slcong.enumeration import enumerate_semilattices
@@ -386,6 +396,22 @@ def test_automorphism_generators_span_the_whole_group(rng):
                 assert span_order(n, canonical_with_perm(T)[2]) == brute, T.meet
 
 
+def test_canonical_search_prunes_by_its_automorphisms():
+    # few generators, and still the whole group and one canonical form, on
+    # tables whose many symmetric branches the search must prune
+    for S, order in ((triangle_square(), 48), (three_b4(), 48), (star(6), 720)):
+        n = S.n
+        form = canonical_form(S).meet
+        rng = random.Random(n)
+        relabeled = [S.relabel([0] + rng.sample(range(1, n), n - 1)) for _ in range(10)]
+        for T in [S] + relabeled:
+            K, _, generators = canonical_with_perm(T)
+            assert K.meet == form, T.meet
+            assert all(_is_meet_automorphism(T, g) for g in generators)
+            assert len(generators) <= n - 1, T.meet
+            assert span_order(n, generators) == order, T.meet
+
+
 def test_orbit_representatives_match_brute_force_orbits(rng):
     from slcong.enumeration import _joinclosed_downset_masks, _orbit_representatives
 
@@ -435,6 +461,11 @@ def test_named_unknown():
         named("pentagon")
     with pytest.raises(UnknownName):
         named("chain_0")
+
+
+def test_named_chain_bound():
+    with pytest.raises(TooLarge):
+        named("chain_1001")
 
 
 # --- builders ------------------------------------------------------------------

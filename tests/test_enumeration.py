@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import NAMED_POOL, automorphisms, span_order
+from conftest import NAMED_POOL, automorphisms, span_order, triangle_square
 from slcong import enumeration, verify
 from slcong.congruences import is_lattice
 from slcong.core import (
@@ -8,7 +8,6 @@ from slcong.core import (
     are_isomorphic,
     canonical_form,
     canonical_with_perm,
-    from_covers,
     named,
     validate,
 )
@@ -149,11 +148,9 @@ def test_direct_request_stores_every_level(monkeypatch):
 
 
 def test_accepted_canonical_separates_orbits_of_one_color():
-    # atoms 1-7, maximal elements 8-14 above the edges of a triangle and a
-    # square; color refinement cannot tell the triangle's edges from the
-    # square's, so only the orbit test decides
-    edges = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
-    S = from_covers([[]] + [[0]] * 7 + [list(e) for e in edges])
+    # color refinement cannot tell the triangle's edges from the square's,
+    # so only the orbit test decides
+    S = triangle_square()
     n = S.n
     accepted = []
     for new in (8, 11):  # a triangle edge, a square edge

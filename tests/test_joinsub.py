@@ -65,15 +65,6 @@ def test_element_out_of_range_is_size_mismatch(element):
         pj.dual_congruence([1, element])
 
 
-def test_join_agrees_with_host():
-    for name in NAMED_POOL:
-        S = named(name)
-        pj = PartialJoinStructure(S)
-        for x in range(1, S.n):
-            for y in range(1, S.n):
-                assert pj.join(x, y) == S.partial_join(x, y)
-
-
 # --- counting ----------------------------------------------------------------
 
 
@@ -181,7 +172,6 @@ def test_dual_lands_in_congruences():
 def test_verify_duality_b4():
     report = verify_duality(named("b4"))
     assert report.subalgebra_count == report.congruence_count == 7
-    assert report.bijective and report.order_reversing
 
 
 def test_verify_duality_chain5():
