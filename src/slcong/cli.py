@@ -61,8 +61,12 @@ def _load_table(source: str) -> core.SemilatticeTable:
     return table
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_dumps(obj))
 
 
 def _scaled_form(k: int, n: int) -> str:
@@ -86,22 +90,22 @@ def cmd_count(args) -> int:
     table = _load_table(args.table)
     pj = joinsub.PartialJoinStructure(table)
     counts = {}
-    if args.method is None:
-        counts[pj.route()] = pj.count()
     if args.method in ("congruences", "all"):
         counts["congruences"] = len(congruences.all_meet_congruences(table))
     if args.method in ("subsets", "all"):
         counts["subsets"] = pj.count_bruteforce()
     if args.method in ("incl-excl", "all"):
         counts["incl-excl"] = pj.count_inclusion_exclusion()
+    # the default route; --method=all adds it when it is none of the three above
+    route = pj.route() if args.method in (None, "all") else None
+    if args.method is None or route == "components":
+        counts[route] = pj.count()
     agree = len(set(counts.values())) == 1
     if args.format == "json":
         _emit_json({"n": table.n, "counts": counts, "agree": agree})
     else:
-        for method in _COUNT_METHODS[:3]:
-            if method in counts:
-                k = counts[method]
-                print(f"{method}: {k} = {_scaled_form(k, table.n)}")
+        for method, k in counts.items():
+            print(f"{method}: {k} = {_scaled_form(k, table.n)}")
         if args.method == "all":
             print(f"agreement: {'yes' if agree else 'NO'}")
     return EXIT_OK if agree else EXIT_CLAIM_FAILED
@@ -122,7 +126,7 @@ def cmd_classify(args) -> int:
         print(f"ubtas: {report.ubta_count}")
         if report.nucleus is not None:
             print(f"nucleus: {list(report.nucleus)}")
-            print(f"skeleton: {report.skeleton.to_obj()}")
+            print(f"skeleton: {_dumps(report.to_obj()['skeleton'])}")
     return EXIT_OK
 
 
@@ -255,7 +259,9 @@ def _build_parser() -> _Parser:
         "--method",
         choices=_COUNT_METHODS,
         default=None,
-        help="counting route (default: incl-excl or subsets, whichever is cheaper)",
+        help="counting route (default: the route classify counts with, components"
+        " when the UBTA clauses split, else incl-excl or subsets, whichever is"
+        " cheaper; all adds the default route when it is components)",
     )
     add_format(p)
     p.set_defaults(func=cmd_count)

@@ -153,19 +153,31 @@ class SemilatticeTable:
                 return False
         return True
 
+    def lower_covers(self) -> list[list[int]]:
+        """The list whose entry x lists the elements that x covers, ascending.
+
+        Row x of the meet table holds exactly the down-set of x.  An element
+        with the largest down-set in a set is maximal there, so taking it and
+        dropping its down-set, until nothing is left, picks out the maximal
+        elements of the strict down-set of x: its lower covers.
+        """
+        downs = [set(row) for row in self.meet]
+        size = [len(down) for down in downs]
+        out = []
+        for x, down in enumerate(downs):
+            rest = down - {x}
+            found = []
+            while rest:
+                z = max(rest, key=size.__getitem__)
+                found.append(z)
+                rest -= downs[z]
+            out.append(sorted(found))
+        return out
+
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The cover relation as (lower, upper) pairs, lexicographic."""
-        n = self.n
-        out = []
-        for x in range(n):
-            for y in range(n):
-                if x == y or not self.leq(x, y):
-                    continue
-                between = self.above_mask[x] & self.below_mask[y]
-                if between == (1 << x) | (1 << y):
-                    out.append((x, y))
-        return tuple(out)
+        return tuple(sorted((z, x) for x, lower in enumerate(self.lower_covers()) for z in lower))
 
     @cached_property
     def maximal_elements(self) -> tuple[int, ...]:
@@ -221,6 +233,11 @@ class SemilatticeTable:
 
     def to_obj(self) -> dict:
         return {"n": self.n, "meet": [list(row) for row in self.meet]}
+
+    def to_covers_obj(self) -> dict:
+        """{"n": n, "covers": lower covers of each element}, the input of
+        ``from_covers``; a tree has n - 1 covers."""
+        return {"n": self.n, "covers": self.lower_covers()}
 
     def __repr__(self) -> str:
         return f"SemilatticeTable(n={self.n})"

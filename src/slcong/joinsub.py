@@ -1,9 +1,16 @@
 """The partial join structure on S+ and join-closed subset counting.
 
-Counting runs along two independent routes: a brute-force scan over all
-2^(n-1) subsets and an inclusion-exclusion sum over the UBTA family.  Both
-agree with the congruence count of the host semilattice; ``verify_duality``
-checks the full dual correspondence at desk scale.
+A subset of S+ is join-closed iff it violates no UBTA clause a ^ b -> a v b.
+Clauses on disjoint element sets constrain disjoint bits, so ``count``
+splits the clauses into connected components over the elements they
+mention, counts each component on its own bits, multiplies the results and
+doubles the product once per element that no clause mentions.  Each
+component, and a table that does not split, is counted along one of two
+routes: a brute-force scan over all subsets of its bits and an
+inclusion-exclusion sum over its clauses.  The whole-table scan and sum
+stay as oracles.  All routes agree with the congruence count of the host
+semilattice; ``verify_duality`` checks the full dual correspondence at desk
+scale.
 """
 
 from __future__ import annotations
@@ -25,6 +32,40 @@ from .errors import (
 
 BRUTE_FORCE_MAX_N = 25
 INCLUSION_EXCLUSION_MAX_T = 20
+
+
+def _method(nbits: int, t: int) -> str | None:
+    """The cheaper in-bounds route for t clauses on nbits bits: "incl-excl"
+    when its 2^t terms cost no more than the 2^nbits-mask scan or the scan is
+    out of bounds, else "subsets"; None when both are out of bounds."""
+    ie_ok = t <= INCLUSION_EXCLUSION_MAX_T
+    scan_ok = nbits < BRUTE_FORCE_MAX_N
+    if ie_ok and (not scan_ok or (1 << t) * max(t, 1) <= (1 << nbits)):
+        return "incl-excl"
+    return "subsets" if scan_ok else None
+
+
+def _inclusion_exclusion(nbits: int, clauses) -> int:
+    """Number of masks in [0, 2^nbits) that violate no clause, as
+    2^nbits - |U_1 u ... u U_t|.
+
+    U_i is the family of masks holding the i-th clause's need but no bit of
+    its join; an intersection over T is empty when some needed bit is also a
+    forbidden join, and has 2^(nbits-|A_T u V_T|) members otherwise.
+    """
+    total = 0
+    for sub in range(1 << len(clauses)):
+        need = 0
+        forbidden = 0
+        for i in _bits(sub):
+            pair, join = clauses[i]
+            need |= pair
+            forbidden |= join
+        if need & forbidden:
+            continue
+        term = 1 << (nbits - (need | forbidden).bit_count())
+        total += -term if sub.bit_count() & 1 else term
+    return total
 
 
 @dataclass(frozen=True)
@@ -83,53 +124,87 @@ class PartialJoinStructure:
         return kernels.scan_join_closed(self.n - 1, self.clauses)
 
     def count_inclusion_exclusion(self) -> int:
-        """|Sub(S+)| = 2^(n-1) - |U_1 u ... u U_t| by inclusion-exclusion.
-
-        U_i is the family of subsets containing the i-th UBTA but not its
-        join; an intersection over T is empty when some required generator
-        is also a forbidden join, and has 2^(n-1-|A_T u V_T|) members
-        otherwise.
-        """
-        clauses = self.clauses
-        t = len(clauses)
+        """|Sub(S+)| = 2^(n-1) - |U_1 u ... u U_t| by inclusion-exclusion."""
+        t = len(self.clauses)
         if t > INCLUSION_EXCLUSION_MAX_T:
             raise TooManyUbtas(f"t={t} exceeds bound {INCLUSION_EXCLUSION_MAX_T}")
-        total = 0
-        nbits = self.n - 1
-        for sub in range(1 << t):
-            need = 0
-            forbidden = 0
-            for i in _bits(sub):
-                pair, join = clauses[i]
-                need |= pair
-                forbidden |= join
-            if need & forbidden:
-                continue
-            term = 1 << (nbits - (need | forbidden).bit_count())
-            total += -term if sub.bit_count() & 1 else term
-        return total
+        return _inclusion_exclusion(self.n - 1, self.clauses)
+
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], int]:
+        """The clauses split into connected components over the S+ bits they
+        mention, and the number of free bits, which no clause mentions.
+
+        Each component is (width, its clauses re-indexed to bits 0..width-1).
+        A mask is join-closed iff its restriction to every component is, and
+        the free bits are unconstrained, so |Sub(S+)| is 2^free times the
+        product of the components' counts.
+        """
+        spans = []  # (bits mentioned, clauses) per component, pairwise disjoint
+        for clause in self.clauses:
+            bits = clause[0] | clause[1]
+            merged, clauses, rest = bits, [], []
+            for part in spans:
+                if part[0] & bits:
+                    merged |= part[0]
+                    clauses += part[1]
+                else:
+                    rest.append(part)
+            spans = rest + [(merged, clauses + [clause])]
+        parts = []
+        mentioned = 0
+        for bits, clauses in spans:
+            mentioned |= bits
+            if bits & (bits + 1):  # re-index onto bits 0..width-1
+                moved = {b: 1 << i for i, b in enumerate(_bits(bits))}.__getitem__
+                clauses = [
+                    (sum(map(moved, _bits(a))), sum(map(moved, _bits(v)))) for a, v in clauses
+                ]
+            parts.append((bits.bit_count(), tuple(clauses)))
+        return tuple(parts), self.n - 1 - mentioned.bit_count()
 
     def route(self) -> str:
-        """The counting route ``count`` takes: "incl-excl" or "subsets".
+        """The counting route ``count`` takes: "components", "incl-excl" or
+        "subsets".
 
-        Inclusion-exclusion when its 2^t terms cost no more than the
-        2^(n-1)-subset scan or the scan is out of bounds; raises TooLarge
-        when both routes are.
+        "components" when the clauses split nontrivially, into two or more
+        components or into one beside a free bit; each component then takes
+        the cheaper of the two routes below on its own bits.  Otherwise the
+        whole table takes inclusion-exclusion when its 2^t terms cost no more
+        than the 2^(n-1)-subset scan or the scan is out of bounds, and the
+        scan otherwise.  Raises TooLarge, before any count starts, when the
+        whole table or one component is out of both bounds.
         """
+        parts, free = self.components
+        if len(parts) > 1 or (parts and free):
+            for width, clauses in parts:
+                if _method(width, len(clauses)) is None:
+                    raise TooLarge(
+                        f"a component of {width} elements with t={len(clauses)}"
+                        " exceeds both counting bounds"
+                    )
+            return "components"
         t = self.host.ubtas.t
-        ie_ok = t <= INCLUSION_EXCLUSION_MAX_T
-        bf_ok = self.n <= BRUTE_FORCE_MAX_N
-        if ie_ok and (not bf_ok or (1 << t) * max(t, 1) <= (1 << (self.n - 1))):
-            return "incl-excl"
-        if bf_ok:
-            return "subsets"
-        raise TooLarge(f"n={self.n}, t={t} exceed both counting bounds")
+        method = _method(self.n - 1, t)
+        if method is None:
+            raise TooLarge(f"n={self.n}, t={t} exceed both counting bounds")
+        return method
 
     def count(self) -> int:
         """Exact |Sub(S+)| along the route named by ``route``."""
-        if self.route() == "incl-excl":
+        route = self.route()
+        if route == "incl-excl":
             return self.count_inclusion_exclusion()
-        return self.count_bruteforce()
+        if route == "subsets":
+            return self.count_bruteforce()
+        parts, free = self.components
+        total = 1 << free
+        for width, clauses in parts:
+            if _method(width, len(clauses)) == "incl-excl":
+                total *= _inclusion_exclusion(width, clauses)
+            else:
+                total *= kernels.scan_join_closed(width, clauses)
+        return total
 
     def dual_congruence(self, elements) -> Partition:
         """The congruence dual to the join-closed subset X.

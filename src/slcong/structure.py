@@ -162,7 +162,7 @@ class ClassificationReport:
             "congruence_count": self.congruence_count,
             "ubta_count": self.ubta_count,
             "nucleus": list(self.nucleus) if self.nucleus is not None else None,
-            "skeleton": self.skeleton.to_obj() if self.skeleton is not None else None,
+            "skeleton": self.skeleton.to_covers_obj() if self.skeleton is not None else None,
             "predicted_count": self.predicted_count,
         }
 
@@ -170,9 +170,13 @@ class ClassificationReport:
 def classify(S: SemilatticeTable) -> ClassificationReport:
     """Assign the extremal class by structural predicates only.
 
-    The congruence count comes from the independent subset-counting route
-    and is cross-checked against the class prediction; a mismatch would be
-    an implementation bug and raises.
+    The congruence count comes from the independent subset-counting route,
+    ``PartialJoinStructure.count``: a product over the connected components
+    of the UBTA clauses, doubled for each element no clause mentions.  It
+    is cross-checked against the class prediction; a mismatch would be an
+    implementation bug and raises.  A quasi-tree's report carries its
+    nucleus and its skeleton, a tree, which ``to_obj`` writes as lower
+    covers.
     """
     if S.n < 2:
         raise SemilatticeError("classification needs n >= 2")

@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from slcong.core import SemilatticeTable, _bits, from_covers, validate
+from slcong.core import (
+    SemilatticeTable,
+    _bits,
+    attach_above,
+    extend_below,
+    from_covers,
+    named,
+    validate,
+)
 from slcong.enumeration import _extend_checked
 
 NAMED_POOL = ("chain_1", "chain_2", "chain_4", "chain_6", "b4", "n5", "m3", "f", "n6", "grid2x3")
@@ -45,6 +53,19 @@ def triangle_square() -> SemilatticeTable:
 def three_b4() -> SemilatticeTable:
     """Three copies of b4 sharing their least element, with |Aut| = 48."""
     return from_covers([[], [0], [0], [1, 2], [0], [0], [4, 5], [0], [0], [7, 8]])
+
+
+def grown(rng: random.Random, S: SemilatticeTable, n: int) -> SemilatticeTable:
+    """S with a chain hung below its least element and chains attached above
+    random elements, up to n elements, then relabeled at random with 0 kept
+    least.  The growth keeps the UBTA family; the relabeling scatters it."""
+    S = extend_below(S, rng.randint(1, 3))
+    while S.n < n:
+        k = min(rng.randint(1, 4), n - S.n)
+        S = attach_above(S, rng.randrange(S.n), named(f"chain_{k}"))
+    perm = list(range(1, n))
+    rng.shuffle(perm)
+    return S.relabel([0] + perm)
 
 
 def star(k: int) -> SemilatticeTable:

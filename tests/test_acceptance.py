@@ -62,7 +62,7 @@ def test_criterion_3_fixture_counts():
 
 
 def test_criterion_4_duality():
-    # three counting routes agree and the dual map is a bijection reversing
+    # four counting routes agree and the dual map is a bijection reversing
     # inclusion, for every semilattice with n <= 7; < 2 min
     detail, seconds = _timed(verify.claim_duality, 7)
     assert seconds < 120.0

@@ -5,6 +5,7 @@ import pytest
 
 from slcong import enumeration, structure
 from slcong.cli import main
+from conftest import three_b4
 from slcong.core import extend_below, named
 
 
@@ -138,6 +139,27 @@ def test_count_json_all(capsys):
     assert payload["agree"] is True
 
 
+def test_count_components_route(capsys):
+    table = json.dumps(three_b4().to_obj())
+    code, out, _ = run(capsys, "count", table)
+    assert code == 0 and out == "components: 343 = 343/16*2^(10-6)\n"
+    code, out, _ = run(capsys, "count", table, "--format=json")
+    assert code == 0 and json.loads(out)["counts"] == {"components": 343}
+
+
+def test_count_all_checks_the_components_route(capsys):
+    table = json.dumps(three_b4().to_obj())
+    routes = ("congruences", "subsets", "incl-excl", "components")
+    code, out, _ = run(capsys, "count", table, "--method=all")
+    assert code == 0
+    expected = [f"{route}: 343 = 343/16*2^(10-6)" for route in routes]
+    assert out.splitlines() == expected + ["agreement: yes"]
+    code, out, _ = run(capsys, "count", table, "--method=all", "--format=json")
+    payload = json.loads(out)
+    assert payload["counts"] == dict.fromkeys(routes, 343)
+    assert payload["agree"] is True
+
+
 # --- classify -------------------------------------------------------------------
 
 
@@ -159,6 +181,17 @@ def test_classify_internal_inconsistency_exits_one(monkeypatch, capsys):
 def test_classify_chain9(capsys):
     code, out, _ = run(capsys, "classify", "chain_9")
     assert code == 0 and "Tree" in out and "256" in out
+
+
+def test_classify_prints_the_skeleton_as_covers(capsys):
+    code, out, _ = run(capsys, "classify", "n5")
+    assert code == 0 and 'skeleton: {"covers":[[]],"n":1}\n' in out
+    S = extend_below(named("b4"), 2)
+    code, out, _ = run(capsys, "classify", json.dumps(S.to_obj()))
+    line = next(x for x in out.splitlines() if x.startswith("skeleton: "))
+    code, out, _ = run(capsys, "classify", json.dumps(S.to_obj()), "--format=json")
+    skel = json.loads(out)["skeleton"]
+    assert json.loads(line.removeprefix("skeleton: ")) == skel == {"n": 3, "covers": [[], [0], [1]]}
 
 
 def test_classify_twelve_element(tmp_path, capsys):

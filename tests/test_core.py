@@ -243,6 +243,29 @@ def test_ubtas_complete_and_sound():
             assert u.v == S.partial_join(u.a, u.b) and u.v not in (u.a, u.b)
 
 
+def test_covers_match_their_definition(rng):
+    # y covers x iff x < y with nothing strictly between, over every class
+    # with n <= 7, a relabeling of each and the catalog
+    tables = [named(name) for name in NAMED_POOL]
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            perm = list(range(1, n))
+            rng.shuffle(perm)
+            tables += [S, S.relabel([0] + perm)]
+    for S in tables:
+        rng_n = range(S.n)
+        expected = tuple(
+            (x, y)
+            for x in rng_n
+            for y in rng_n
+            if x != y
+            and S.leq(x, y)
+            and not any(z not in (x, y) and S.leq(x, z) and S.leq(z, y) for z in rng_n)
+        )
+        assert S.covers == expected, S.meet
+        assert S.lower_covers() == [[x for x, y in expected if y == upper] for upper in rng_n]
+
+
 # --- intervals and convexity -------------------------------------------------
 
 

@@ -1,6 +1,10 @@
+import json
+import random
+
 import pytest
 
-from conftest import NAMED_POOL, random_semilattice
+from conftest import NAMED_POOL, grown, random_semilattice, three_b4
+from slcong.cli import main
 from slcong.congruences import all_meet_congruences
 from slcong.core import extend_below, from_covers, named
 from slcong.enumeration import enumerate_semilattices
@@ -13,6 +17,7 @@ from slcong.errors import (
     TooManyUbtas,
 )
 from slcong.joinsub import PartialJoinStructure, verify_duality
+from slcong.structure import tree_congruence
 
 
 def naive_join_closed_count(S):
@@ -33,6 +38,11 @@ def naive_join_closed_count(S):
         if ok:
             count += 1
     return count
+
+
+def fan(k):
+    """k atoms below one top: one component of k + 1 elements, t = C(k, 2)."""
+    return from_covers([[]] + [[0]] * k + [list(range(1, k + 1))])
 
 
 # --- membership -------------------------------------------------------------
@@ -125,12 +135,86 @@ def test_bruteforce_bound():
 
 def test_too_many_ubtas():
     # a fan of 7 atoms below one top has C(7,2) = 21 > 20 UBTAs
-    fan = from_covers([[]] + [[0]] * 7 + [list(range(1, 8))])
-    pj = PartialJoinStructure(fan)
+    pj = PartialJoinStructure(fan(7))
     assert pj.host.ubtas.t == 21
     with pytest.raises(TooManyUbtas):
         pj.count_inclusion_exclusion()
     assert pj.count() == pj.count_bruteforce()
+
+
+# --- the default route: a product over clause components ------------------------
+
+
+def block_product(S):
+    """|Con S| on the congruence side: 2^(k-1) * prod |Con B_i| over the k
+    tree-congruence blocks B_i, each counted by congruence enumeration."""
+    blocks = tree_congruence(S).blocks
+    product = 1 << (len(blocks) - 1)
+    for block in blocks:
+        product *= len(all_meet_congruences(S.subsemilattice(block)[0]))
+    return product
+
+
+def test_default_route_matches_the_scan_exhaustively():
+    # the relabeling scatters each component's bits over S+
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for S in enumerate_semilattices(n):
+            perm = list(range(1, n))
+            rng.shuffle(perm)
+            for T in (S, S.relabel([0] + perm)):
+                pj = PartialJoinStructure(T)
+                assert pj.count() == pj.count_bruteforce(), T.meet
+
+
+def test_catalog_tables_do_not_split():
+    for name in NAMED_POOL + ("chain_30",):
+        assert PartialJoinStructure(named(name)).route() != "components", name
+
+
+def test_three_b4_counts_as_a_product():
+    pj = PartialJoinStructure(three_b4())
+    assert pj.components == (((3, ((0b011, 0b100),)),) * 3, 0)
+    assert pj.route() == "components"
+    assert pj.count() == 343 == 7**3
+    assert PartialJoinStructure(extend_below(three_b4(), 2)).components[1] == 2
+
+
+# b4 stacked on b4 through one chain element: two nonsingleton blocks
+STACKED_B4 = [[], [0], [0], [1, 2], [3], [4], [4], [5, 6]]
+
+
+@pytest.mark.parametrize(
+    "base",
+    [fan(7), three_b4(), named("grid2x3"), from_covers(STACKED_B4)],
+    ids=["fan7", "three_b4", "grid2x3", "stacked_b4"],
+)
+def test_grown_tables_count_as_their_blocks_predict(capsys, base):
+    rng = random.Random(base.n)
+    for n in (26, 28, 30):
+        S = grown(rng, base, n)
+        expected = block_product(S)
+        pj = PartialJoinStructure(S)
+        assert pj.route() == "components"
+        assert pj.count() == expected
+        assert main(["classify", json.dumps(S.to_obj()), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["congruence_count"] == expected
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["whole", "component"])
+def test_refusal_comes_before_any_scan(capsys, below):
+    # 24 atoms under one top: one component of 25 elements with t = 276,
+    # out of both bounds, alone or beside a free element
+    S = extend_below(fan(24), below)
+    pj = PartialJoinStructure(S)
+    assert pj.host.ubtas.t == 276
+    with pytest.raises(TooLarge):
+        pj.route()
+    with pytest.raises(TooLarge):
+        pj.count()
+    assert main(["count", json.dumps(S.to_obj())]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "both counting bounds" in err
 
 
 # --- dual map ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from slcong.congruences import (
     is_meet_congruence,
     quotient,
 )
-from slcong.core import are_isomorphic, attach_above, extend_below, named, validate
+from slcong.core import are_isomorphic, attach_above, extend_below, from_covers, named, validate
 from slcong.enumeration import enumerate_semilattices
 from slcong.errors import NotConvexSubsemilattice, NotQuasiTree, SemilatticeError
 from slcong.structure import (
@@ -218,12 +218,23 @@ def test_classify_report_invariants():
             assert report.ubta_count == S.ubtas.t
 
 
+def test_report_skeleton_round_trips_through_its_covers():
+    for n in range(2, 8):
+        for S in enumerate_semilattices(n):
+            report = classify(S)
+            if report.skeleton is not None:
+                skel = report.to_obj()["skeleton"]
+                assert from_covers(skel["covers"]) == report.skeleton
+                # a tree: one lower cover per element above 0
+                assert sum(map(len, skel["covers"])) == skel["n"] - 1
+
+
 def test_report_json_shape():
     obj = classify(named("n5")).to_obj()
     assert obj["class"] == "NucleusN5"
     assert obj["congruence_count"] == 13
     assert obj["nucleus"] == [0, 1, 2, 3, 4]
-    assert obj["skeleton"] == {"n": 1, "meet": [[0]]}
+    assert obj["skeleton"] == {"n": 1, "covers": [[]]}
 
 
 # --- structural facts about UBTA patterns ----------------------------------------
