@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .core import SemilatticeTable, validate
+from .core import SemilatticeTable
 from .errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
 
 CONGRUENCE_MAX_N = 10  # all_meet_congruences and all_lattice_congruences
@@ -194,17 +194,15 @@ def quotient(S: SemilatticeTable, P: Partition) -> tuple[SemilatticeTable, tuple
     """The quotient semilattice S/P with [x] ^ [y] = [x ^ y].
 
     Returns the quotient table and the block tuple: block i of P is element
-    i of the quotient (the block of 0 comes first, so 0 stays least).
+    i of the quotient (the block of 0 comes first, so 0 stays least).  A
+    quotient by a meet congruence is a semilattice, so it is not validated.
     """
     if not is_meet_congruence(S, P):
         raise NotACongruence("partition is not compatible with the meet")
     bid = P.block_id
     reps = [b[0] for b in P.blocks]
-    rows = [
-        [bid[S.meet[rx][ry]] for ry in reps]
-        for rx in reps
-    ]
-    return validate(rows), P.blocks
+    rows = tuple(tuple(bid[S.meet[rx][ry]] for ry in reps) for rx in reps)
+    return SemilatticeTable(rows), P.blocks
 
 
 def is_lattice(S: SemilatticeTable) -> bool:

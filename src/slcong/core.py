@@ -3,7 +3,9 @@
 Elements are the indices 0..n-1 and index 0 is always the least element;
 ``validate`` rejects tables that violate this instead of relabeling.  The
 derived order is x <= y iff meet(x, y) == x.  Subsets of the carrier are
-bitmasks throughout (bit i = element i).
+bitmasks throughout (bit i = element i).  The quasi-tree construction kit
+(``attach_above``, ``extend_below``) and the catalog, chains aside, build
+their tables from lower covers through ``from_covers``.
 """
 
 from __future__ import annotations
@@ -76,11 +78,9 @@ class SemilatticeTable:
 
     @cached_property
     def below_mask(self) -> tuple[int, ...]:
-        """below_mask[x] = bitmask of {z : z <= x}."""
-        n = self.n
-        meet = self.meet
+        """below_mask[x] = bitmask of {z : z <= x}, read off row x."""
         return tuple(
-            sum(1 << z for z in range(n) if meet[z][x] == z) for x in range(n)
+            sum(1 << z for z, m in enumerate(row) if m == z) for row in self.meet
         )
 
     @cached_property
@@ -273,8 +273,9 @@ def validate(raw_table) -> SemilatticeTable:
     # lower bound, iff below[meet(x, y)] == below[x] & below[y] for all x, y:
     # the test gives transitivity at y <= x, antisymmetry is commutativity,
     # and meet(x, y) lies in its own down-set.  The triple scan runs only to
-    # name the first violation.
-    below = [sum(1 << z for z, m in enumerate(row) if m == z) for row in meet]
+    # name the first violation.  The masks stay cached on the returned table.
+    table = SemilatticeTable(meet)
+    below = table.below_mask
     for x, row in enumerate(meet):
         bx = below[x]
         for y in range(x + 1, n):
@@ -283,7 +284,7 @@ def validate(raw_table) -> SemilatticeTable:
     for x in range(n):
         if meet[0][x] != 0:
             raise NoLeastAtZero(x)
-    return SemilatticeTable(meet)
+    return table
 
 
 def _raise_first_nonassociative(meet) -> None:
@@ -298,8 +299,14 @@ def _raise_first_nonassociative(meet) -> None:
 
 
 def from_covers(covers: list[list[int]]) -> SemilatticeTable:
-    """Build a table from lower covers (used by the named catalog)."""
+    """Build and validate the table whose element x covers those in covers[x]."""
     n = len(covers)
+    for x, row in enumerate(covers):
+        if not isinstance(row, (list, tuple)):
+            raise MalformedTable(f"covers[{x}] is not a list")
+        for i, c in enumerate(row):
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
+                raise MalformedTable(f"covers[{x}][{i}] is not an element index in 0..{n - 1}")
     below = [1 << x for x in range(n)]
     changed = True
     while changed:
@@ -362,43 +369,31 @@ def named(name: str) -> SemilatticeTable:
 def attach_above(S: SemilatticeTable, x: int, T: SemilatticeTable) -> SemilatticeTable:
     """Attach the tree semilattice T above element x of S.
 
-    T's least element becomes a new element covering x; meets inside the
-    copy of T are T-meets and the meet of an attached element with an old
-    element y is meet_S(x, y).  The UBTA family of S is unchanged.
+    The copy of T takes the indices n..n+|T|-1 and its least element covers
+    x, so meets inside the copy are T-meets and the meet of an attached
+    element with an old element y is meet_S(x, y).  The UBTA family of S is
+    unchanged.
     """
     if T.ubtas.items:
         raise SemilatticeError("attachment must be a tree semilattice")
     if not 0 <= x < S.n:
         raise SemilatticeError(f"no element {x}")
-    n, m = S.n, T.n
-    rows = [[0] * (n + m) for _ in range(n + m)]
-    for p in range(n):
-        for q in range(n):
-            rows[p][q] = S.meet[p][q]
-    for p in range(m):
-        for q in range(m):
-            rows[n + p][n + q] = n + T.meet[p][q]
-    for p in range(m):
-        for q in range(n):
-            rows[n + p][q] = rows[q][n + p] = S.meet[x][q]
-    return validate(rows)
+    n = S.n
+    upper = [[n + c for c in row] for row in T.lower_covers()]
+    upper[0] = [x]
+    return from_covers(S.lower_covers() + upper)
 
 
 def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
-    """Hang a k-element chain below the least element of S."""
+    """Hang the chain 0 < ... < k-1 below the least element of S, shifted by
+    k; meets are min on the chain and S-meets plus k elsewhere."""
     if k < 0:
         raise SemilatticeError("chain length must be nonnegative")
     if k == 0:
         return S
-    n = S.n
-    rows = [[0] * (n + k) for _ in range(n + k)]
-    for p in range(n + k):
-        for q in range(n + k):
-            if p < k or q < k:
-                rows[p][q] = min(p, q)
-            else:
-                rows[p][q] = S.meet[p - k][q - k] + k
-    return validate(rows)
+    upper = [[k + c for c in row] for row in S.lower_covers()]
+    upper[0] = [k - 1]
+    return from_covers([[]] + [[i] for i in range(k - 1)] + upper)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .core import (
     attach_above,
     extend_below,
     named,
+    validate,
 )
 from .enumeration import (
     _oracle_fingerprint,
@@ -184,7 +185,7 @@ def claim_tree_quotient(max_n: int = 7) -> str:
     for n in range(1, max_n + 1):
         for S in enumerate_semilattices(n):
             Q, _ = quotient(S, tree_congruence(S))
-            assert is_tree(Q), f"non-tree quotient at n={n}"
+            assert validate(Q.meet) == Q and is_tree(Q), f"non-tree quotient at n={n}"
             total += 1
     return f"{total} tree-congruence quotients are trees"
 

@@ -19,6 +19,7 @@ from slcong.core import (
     canonical_form,
     canonical_with_perm,
     extend_below,
+    from_covers,
     isomorphism_witness,
     named,
     validate,
@@ -169,6 +170,15 @@ def test_validate_accepts_relabeled_semilattices():
             perm = list(range(n))
             rng.shuffle(perm)
             _assert_validate_matches_scan([list(row) for row in S.relabel(perm).meet])
+
+
+def test_below_mask_reads_the_same_down_sets_off_rows_and_columns(rng):
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
+                columns = [sum(1 << z for z in range(n) if T.meet[z][x] == z) for x in range(n)]
+                assert list(T.below_mask) == columns
+                assert validate(T.meet).below_mask == T.below_mask
 
 
 # --- order, joins, ubtas ----------------------------------------------------
@@ -479,6 +489,23 @@ def test_named_grid_is_product():
         assert grid.meet[3 * i + j][3 * p + q] == 3 * min(i, p) + min(j, q)
 
 
+@pytest.mark.parametrize(
+    "covers, where",
+    [
+        ([[3]], "covers[0][0] is not an element index in 0..0"),
+        ([[], ["a"]], "covers[1][0] is not an element index in 0..1"),
+        ([[], [-1]], "covers[1][0] is not an element index in 0..1"),
+        ([[], [True]], "covers[1][0] is not an element index in 0..1"),
+        ([[], [0], [0, 1.0]], "covers[2][1] is not an element index in 0..2"),
+        ([[], 0], "covers[1] is not a list"),
+    ],
+)
+def test_from_covers_rejects_bad_entries_by_position(covers, where):
+    with pytest.raises(MalformedTable) as info:
+        from_covers(covers)
+    assert str(info.value) == where
+
+
 def test_named_unknown():
     with pytest.raises(UnknownName):
         named("pentagon")
@@ -533,6 +560,43 @@ def test_extend_below_b4_two():
 
 def test_extend_below_chain():
     assert are_isomorphic(extend_below(named("chain_3"), 2), named("chain_5"))
+
+
+def _kit_inputs(rng):
+    """Catalog tables and seeded random ones relabeled with 0 kept least."""
+    yield from (named(name) for name in NAMED_POOL)
+    for _ in range(60):
+        S = random_semilattice(rng, rng.randrange(1, 8))
+        yield S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))
+
+
+def test_construction_kit_follows_its_rules_cell_by_cell(rng):
+    # the rules of the docstrings, read cell by cell; no from_covers here
+    cases = 0
+    for S in _kit_inputs(rng):
+        n = S.n
+        for x in range(n):
+            T = random_tree(rng, rng.randrange(1, 5))
+            T = T.relabel([0] + rng.sample(range(1, T.n), T.n - 1))
+            got = attach_above(S, x, T).meet
+            assert len(got) == n + T.n
+            for p, q in itertools.product(range(n + T.n), repeat=2):
+                if p < n and q < n:
+                    want = S.meet[p][q]
+                elif p >= n and q >= n:
+                    want = n + T.meet[p - n][q - n]
+                else:
+                    want = S.meet[x][min(p, q)]
+                assert got[p][q] == want, (S.meet, x, T.meet, p, q)
+            cases += 1
+        for k in range(4):
+            got = extend_below(S, k).meet
+            assert len(got) == n + k
+            for p, q in itertools.product(range(n + k), repeat=2):
+                want = min(p, q) if p < k or q < k else S.meet[p - k][q - k] + k
+                assert got[p][q] == want, (S.meet, k, p, q)
+            cases += 1
+    assert cases > 500
 
 
 def test_extend_below_shifts_ubtas(rng):
