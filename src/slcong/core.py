@@ -78,14 +78,25 @@ class SemilatticeTable:
 
     @cached_property
     def below_mask(self) -> tuple[int, ...]:
-        """below_mask[x] = bitmask of {z : z <= x}, read off row x."""
+        """below_mask[x] = bitmask of {z : z <= x}, read off row x.
+
+        Tables of the enumeration walk are built with it (``_with_masks``).
+        A child's new meets are found from it: a join-closed ideal I meets
+        ↓x in a principal down-set, since I ∩ ↓x holds 0 and the join of any
+        two of its elements (bounded by x, kept by I), so it is ↓ of its
+        largest element, the new element's meet with x.
+        """
         return tuple(
             sum(1 << z for z, m in enumerate(row) if m == z) for row in self.meet
         )
 
     @cached_property
     def above_mask(self) -> tuple[int, ...]:
-        """above_mask[x] = bitmask of {z : x <= z}."""
+        """above_mask[x] = bitmask of {z : x <= z}.
+
+        The up-set of x determines x, so ``ubtas`` finds a join by looking
+        its upper-bound set up among the up-sets.
+        """
         n = self.n
         meet = self.meet
         return tuple(
@@ -117,14 +128,23 @@ class SemilatticeTable:
 
     @cached_property
     def ubtas(self) -> UbtaFamily:
+        """Every incomparable a, b in S+ with ub = above[a] & above[b] != 0,
+        with a∨b read off the up-sets: the upper bounds of {a, b} form
+        ↑(a∨b), since their meet is itself an upper bound below each, so
+        a∨b is the element whose up-set is ub."""
+        above = self.above_mask
+        element_of = {u: z for z, u in enumerate(above)}
         items = []
         n = self.n
         for a in range(1, n):
+            up_a = above[a]
             for b in range(a + 1, n):
-                if self.leq(a, b) or self.leq(b, a):
+                up_b = above[b]
+                if up_a >> b & 1 or up_b >> a & 1:
                     continue
-                if self.upper_bound_mask(a, b):
-                    items.append(Ubta(a, b, self.partial_join(a, b)))
+                ub = up_a & up_b
+                if ub:
+                    items.append(Ubta(a, b, element_of[ub]))
         return UbtaFamily(tuple(items))
 
     def interval(self, a: int, b: int) -> tuple[int, ...]:
@@ -241,6 +261,18 @@ class SemilatticeTable:
 
     def __repr__(self) -> str:
         return f"SemilatticeTable(n={self.n})"
+
+
+def _with_masks(
+    meet: tuple[tuple[int, ...], ...], below: tuple[int, ...], above: tuple[int, ...]
+) -> SemilatticeTable:
+    """The table of ``meet``, built with its down-set and up-set masks
+    already known, so ``below_mask`` and ``above_mask`` are not recomputed
+    from the rows.  Equality and hashing stay on ``meet``."""
+    table = SemilatticeTable(meet)
+    table.__dict__["below_mask"] = below
+    table.__dict__["above_mask"] = above
+    return table
 
 
 def validate(raw_table) -> SemilatticeTable:
@@ -434,17 +466,20 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 
 
 def _refine(S: SemilatticeTable) -> list[int]:
-    meet = S.meet
-    rng = range(S.n)
+    """The refinement colors.  Colors are below n, so the pair (color(z),
+    color(x^z)) is sorted as the int color(z)·n + color(x^z), in the same
+    order."""
+    n = S.n
     bm, am = S.below_mask, S.above_mask
-    keys = [(bm[x].bit_count(), am[x].bit_count()) for x in rng]
+    keys = [(b.bit_count(), a.bit_count()) for b, a in zip(bm, am)]
     while True:
         uniq = sorted(set(keys))
         index = {k: i for i, k in enumerate(uniq)}
         color = [index[k] for k in keys]
+        scaled = [c * n for c in color]
         keys = [
-            (color[x], tuple(sorted((color[z], color[meet[x][z]]) for z in rng)))
-            for x in rng
+            (c, tuple(sorted([s + color[m] for s, m in zip(scaled, row)])))
+            for c, row in zip(color, S.meet)
         ]
         if len(set(keys)) == len(uniq):
             return color
@@ -559,16 +594,24 @@ def canonical_with_perm(
     generators of Aut(S), each a list g with g[x] the image of x (none when
     the group is trivial), all from one search.
 
-    ``colors`` is ``_refine(S)`` when the caller already has it.
+    ``colors`` is ``_refine(S)`` when the caller already has it.  The
+    form is built with its masks, read off the certificate: positions follow
+    a linear extension, so q <= p in the order implies q <= p as positions,
+    and q is below p iff rows[p][q] == q.
     """
     rows, perm, generators = _canonical_search(S, colors)
     n = S.n
-    table = [[0] * n for _ in range(n)]
-    for p in range(n):
-        table[p][p] = p
-        for q in range(p):
-            table[p][q] = table[q][p] = rows[p][q]
-    return SemilatticeTable(tuple(tuple(r) for r in table)), perm, generators
+    below = [1 << p for p in range(n)]
+    above = below.copy()
+    for p, row in enumerate(rows):
+        for q, m in enumerate(row):
+            if m == q:
+                below[p] |= 1 << q
+                above[q] |= 1 << p
+    meet = tuple(
+        row + (p,) + tuple([rows[q][p] for q in range(p + 1, n)]) for p, row in enumerate(rows)
+    )
+    return _with_masks(meet, tuple(below), tuple(above)), perm, generators
 
 
 def canonical_form(S: SemilatticeTable) -> SemilatticeTable:

@@ -17,6 +17,11 @@ does not depend on it), with those generators splitting its ideals.  A
 child whose new element lacks the largest (down-set size, up-set size) or
 refinement color is rejected before any search.
 
+Every table the walk makes starts with its down-set and up-set masks: a
+child's come from its parent's and the ideal (``_extend``), a canonical
+form's from its certificate (``canonical_with_perm``), so neither is
+rebuilt from the meet table.
+
 ``enumerate_semilattices_bruteforce`` is the independent oracle: plain
 backtracking over labeled order extensions followed by isomorphism
 partitioning.
@@ -32,6 +37,7 @@ from .core import (
     _bits,
     _orbit,
     _refine,
+    _with_masks,
     are_isomorphic,
     canonical_with_perm,
     validate,
@@ -61,17 +67,32 @@ def _joinclosed_downset_masks(S: SemilatticeTable) -> list[int]:
 
 
 def _extend(S: SemilatticeTable, ideal_mask: int) -> SemilatticeTable:
-    """Append a new maximal element above the given ideal."""
+    """Append a new maximal element above the given join-closed ideal.
+
+    The ideal meets each down-set ↓x in ↓m for m = x ^ new (see
+    ``SemilatticeTable.below_mask``), so m is looked up by its down-set.
+    The child's masks follow from the parent's: old down-sets are
+    unchanged, the new element joins the up-sets of the ideal's elements,
+    and its own down-set is the ideal.
+    """
     n = S.n
-    below = S.below_mask
+    below, above = S.below_mask, S.above_mask
+    element_of = {b: z for z, b in enumerate(below)}
     new_row = []
-    for x in range(n):
-        t_mask = ideal_mask & below[x]
-        top = next(z for z in _bits(t_mask) if t_mask & ~below[z] == 0)
-        new_row.append(top)
-    rows = [S.meet[x] + (new_row[x],) for x in range(n)]
-    rows.append(tuple(new_row) + (n,))
-    return SemilatticeTable(tuple(rows))
+    for x, b in enumerate(below):
+        m = element_of.get(ideal_mask & b)
+        if m is None:
+            raise InternalInconsistency(
+                f"ideal {{{', '.join(map(str, _bits(ideal_mask)))}}} meets the down-set"
+                f" of {x} in no principal down-set"
+            )
+        new_row.append(m)
+    new = 1 << n
+    rows = tuple([row + (m,) for row, m in zip(S.meet, new_row)])
+    up = tuple([u | new if ideal_mask >> x & 1 else u for x, u in enumerate(above)])
+    return _with_masks(
+        rows + (tuple(new_row) + (n,),), below + (ideal_mask | new,), up + (new,)
+    )
 
 
 def _mask_orbit(mask: int, images: list[list[int]]) -> set[int]:

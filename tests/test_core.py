@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     NAMED_POOL,
     automorphisms,
+    grown,
     random_semilattice,
     random_tree,
     span_order,
@@ -240,17 +241,26 @@ def test_ubtas_n6():
     assert all(u.v == 5 for u in fam)
 
 
-def test_ubtas_complete_and_sound():
-    for name in NAMED_POOL:
-        S = named(name)
-        listed = {(u.a, u.b) for u in S.ubtas}
-        for a in range(1, S.n):
-            for b in range(a + 1, S.n):
-                incomparable = not S.leq(a, b) and not S.leq(b, a)
-                expected = incomparable and bool(S.upper_bound_mask(a, b))
-                assert ((a, b) in listed) == expected
-        for u in S.ubtas:
-            assert u.v == S.partial_join(u.a, u.b) and u.v not in (u.a, u.b)
+def test_ubtas_complete_and_sound(rng):
+    # every class with n <= 7, a relabeling of each, the catalog and grown
+    # tables; the oracle reads leq and partial_join off the meet table
+    tables = [named(name) for name in NAMED_POOL]
+    tables += [grown(rng, named(name), named(name).n + 8) for name in NAMED_POOL[4:]]
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            tables += [S, S.relabel([0] + rng.sample(range(1, n), n - 1))]
+    for S in tables:
+        rng_n = range(S.n)
+        expected = [
+            (a, b, S.partial_join(a, b))
+            for a in rng_n[1:]
+            for b in rng_n[a + 1 :]
+            if not S.leq(a, b)
+            and not S.leq(b, a)
+            and any(S.leq(a, z) and S.leq(b, z) for z in rng_n)
+        ]
+        assert [tuple(u) for u in S.ubtas] == expected, S.meet
+        assert all(u.v not in (u.a, u.b) for u in S.ubtas)
 
 
 def test_covers_match_their_definition(rng):

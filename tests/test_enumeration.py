@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from conftest import NAMED_POOL, automorphisms, span_order, triangle_square
@@ -15,13 +18,14 @@ from slcong.enumeration import (
     WITNESS_CAP,
     _accepted_canonical,
     _extend,
+    _extend_checked,
     _joinclosed_downset_masks,
     enumerate_semilattices,
     enumerate_semilattices_bruteforce,
     spectrum,
     top_values,
 )
-from slcong.errors import NotEnoughValues, TooLarge
+from slcong.errors import InternalInconsistency, NotEnoughValues, TooLarge
 from slcong.joinsub import congruence_count
 
 
@@ -39,6 +43,77 @@ def test_counts_against_oracle():
 def test_eight_element_count():
     # n-element semilattices with 0 are the (n+1)-element lattices: OEIS A006966
     assert len(enumerate_semilattices(8)) == 1078
+
+
+def test_eight_element_canonical_forms_are_pinned():
+    # the sha256 of every canonical meet table at n = 8, in output order, as
+    # the walk produced them before tables carried their masks
+    rows = json.dumps([S.meet for S in enumerate_semilattices(8)]).encode()
+    assert (
+        hashlib.sha256(rows).hexdigest()
+        == "f3a33609c75ff282f2954eee89e926d30d41951f9a11d2c819c8670cc56c0d3e"
+    )
+
+
+def _masks_by_definition(T):
+    """(down-sets, up-sets) as bitmasks, read off the meet table."""
+    rng_n = range(T.n)
+    below = tuple(sum(1 << z for z in rng_n if T.meet[z][x] == z) for x in rng_n)
+    above = tuple(sum(1 << z for z in rng_n if T.meet[x][z] == x) for x in rng_n)
+    return below, above
+
+
+def test_walk_tables_carry_their_masks(rng):
+    # each class with n <= 7 and a relabeling, every child _extend builds from
+    # them, kept or not, and each canonical form hold their definitions' masks
+    checked = 0
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            assert (S.below_mask, S.above_mask) == _masks_by_definition(S)
+            for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
+                for mask in _joinclosed_downset_masks(T):
+                    child = _extend(T, mask)
+                    assert child == _extend_checked(T, mask)
+                    assert (child.below_mask, child.above_mask) == _masks_by_definition(child)
+                    K = canonical_with_perm(child)[0]
+                    assert (K.below_mask, K.above_mask) == _masks_by_definition(K), child.meet
+                    checked += 1
+    assert checked > 2 * 1078
+
+
+def test_extend_refuses_an_ideal_that_is_not_join_closed():
+    # {0, 1, 2} in b4 misses 1 v 2 = 3, so it meets the down-set of 3 in no
+    # principal down-set
+    with pytest.raises(InternalInconsistency, match=r"ideal \{0, 1, 2\}"):
+        _extend(named("b4"), 0b0111)
+
+
+def _refine_by_pairs(T):
+    """The refinement colors by their definition: seeded with (down-set size,
+    up-set size), refined by the sorted (color(z), color(x^z)) pairs until no
+    class splits."""
+    meet = T.meet
+    rng_n = range(T.n)
+    keys = [
+        (sum(meet[z][x] == z for z in rng_n), sum(meet[x][z] == x for z in rng_n))
+        for x in rng_n
+    ]
+    while True:
+        uniq = sorted(set(keys))
+        color = [uniq.index(k) for k in keys]
+        keys = [
+            (color[x], tuple(sorted((color[z], color[meet[x][z]]) for z in rng_n)))
+            for x in rng_n
+        ]
+        if len(set(keys)) == len(uniq):
+            return color
+
+
+def test_refine_matches_the_pair_definition(rng):
+    for n in range(1, 8):
+        for S in enumerate_semilattices(n):
+            for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
+                assert _refine(T) == _refine_by_pairs(T), T.meet
 
 
 def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
