@@ -96,10 +96,8 @@ def cmd_count(args) -> int:
         counts["subsets"] = pj.count_bruteforce()
     if args.method in ("incl-excl", "all"):
         counts["incl-excl"] = pj.count_inclusion_exclusion()
-    # the default route; --method=all adds it when it is none of the three above
-    route = pj.route() if args.method in (None, "all") else None
-    if args.method is None or route == "components":
-        counts[route] = pj.count()
+    if args.method is None:
+        counts[pj.route()] = pj.count()
     agree = len(set(counts.values())) == 1
     if args.format == "json":
         _emit_json({"n": table.n, "counts": counts, "agree": agree})
@@ -233,52 +231,60 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="slcong", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p):
+    p.add_argument("--format", choices=("human", "json"), default="human")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("human", "json"), default="human")
 
-    def add_max_n(p):
-        p.add_argument(
-            "--max-n",
-            type=int,
-            default=None,
-            help=f"enumeration bound (default {enumeration.DEFAULT_MAX_N})",
-        )
+def _add_max_n(p):
+    p.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        help=f"enumeration bound (default {enumeration.DEFAULT_MAX_N})",
+    )
 
+
+def _add_validate(sub):
     p = sub.add_parser("validate", help="check the semilattice axioms on a table")
     p.add_argument("table", help="path, inline JSON, '-' for stdin, or a catalog name")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_validate)
 
+
+def _add_count(sub):
     p = sub.add_parser("count", help="count congruences / join-closed subsets")
     p.add_argument("table")
     p.add_argument(
         "--method",
         choices=_COUNT_METHODS,
         default=None,
-        help="counting route (default: the route classify counts with, components"
-        " when the UBTA clauses split, else incl-excl or subsets, whichever is"
-        " cheaper; all adds the default route when it is components)",
+        help="counting route (default: the route classify counts with, incl-excl"
+        " or subsets, whichever is cheaper, on the whole table when n <= 13, and"
+        " components when the UBTA clauses of a larger table split; all runs"
+        " the first three)",
     )
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_count)
 
+
+def _add_classify(sub):
     p = sub.add_parser("classify", help="extremal classification of a semilattice")
     p.add_argument("table")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_classify)
 
+
+def _add_spectrum(sub):
     p = sub.add_parser("spectrum", help="congruence-count spectrum NCsl(n)")
     p.add_argument("n", type=int)
     p.add_argument("--witnesses", action="store_true")
     p.add_argument("--top", type=int, default=None, metavar="M")
-    add_max_n(p)
-    add_format(p)
+    _add_max_n(p)
+    _add_format(p)
     p.set_defaults(func=cmd_spectrum)
 
+
+def _add_enumerate(sub):
     p = sub.add_parser("enumerate", help="all n-element semilattices up to isomorphism")
     p.add_argument("n", type=int)
     p.add_argument(
@@ -287,24 +293,54 @@ def _build_parser() -> _Parser:
         help="tree | quasi-tree | lattice | class:<Name>",
     )
     p.add_argument("--out", default=None, help="write one JSON file per table")
-    add_max_n(p)
+    _add_max_n(p)
     p.set_defaults(func=cmd_enumerate)
 
+
+def _add_verify(sub):
     p = sub.add_parser("verify", help="run the verification claims up to n_max")
     p.add_argument("n_max", type=int)
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
+
+def _add_export_dot(sub):
     p = sub.add_parser("export-dot", help="Hasse diagram as DOT")
     p.add_argument("table")
     p.add_argument("--mark-nucleus", action="store_true")
     p.set_defaults(func=cmd_export_dot)
 
+
+# in the order the top-level help lists them
+_COMMANDS = {
+    "validate": _add_validate,
+    "count": _add_count,
+    "classify": _add_classify,
+    "spectrum": _add_spectrum,
+    "enumerate": _add_enumerate,
+    "verify": _add_verify,
+    "export-dot": _add_export_dot,
+}
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser for argv: when argv starts with a command, only that
+    command's parser is built, since building all of them costs more than
+    parsing; otherwise, for top-level help or a usage error, all of them."""
+    parser = _Parser(prog="slcong", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    if argv and argv[0] in _COMMANDS:
+        _COMMANDS[argv[0]](sub)
+    else:
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except InvalidTable as exc:

@@ -1,14 +1,15 @@
 """The partial join structure on S+ and join-closed subset counting.
 
 A subset of S+ is join-closed iff it violates no UBTA clause a ^ b -> a v b.
-Clauses on disjoint element sets constrain disjoint bits, so ``count``
-splits the clauses into connected components over the elements they
-mention, counts each component on its own bits, multiplies the results and
-doubles the product once per element that no clause mentions.  Each
-component, and a table that does not split, is counted along one of two
-routes: a brute-force scan over all subsets of its bits and an
-inclusion-exclusion sum over its clauses.  The whole-table scan and sum
-stay as oracles.  All routes agree with the congruence count of the host
+Clauses on disjoint element sets constrain disjoint bits, so for a table
+wider than one scan block (n - 1 > ``kernels.BLOCK_BITS``) ``count`` splits
+the clauses into connected components over the elements they mention,
+counts each component on its own bits, multiplies the results and doubles
+the product once per element that no clause mentions.  Each component, and
+a table that fits in one block or does not split, is counted along one of
+two routes: the kernel's block scan over all subsets of its bits and an
+inclusion-exclusion sum over its clauses.  The whole-table scan and sum stay
+as oracles.  All routes agree with the congruence count of the host
 semilattice; ``verify_duality`` checks the full dual correspondence at desk
 scale.
 """
@@ -36,11 +37,14 @@ INCLUSION_EXCLUSION_MAX_T = 20
 
 def _method(nbits: int, t: int) -> str | None:
     """The cheaper in-bounds route for t clauses on nbits bits: "incl-excl"
-    when its 2^t terms cost no more than the 2^nbits-mask scan or the scan is
-    out of bounds, else "subsets"; None when both are out of bounds."""
+    when its 2^t terms cost no more than t + 1 passes over the scan's blocks
+    of 2^BLOCK_BITS masks, 2^t <= (t + 1) * 2^max(0, nbits - BLOCK_BITS), or
+    the scan is out of bounds, else "subsets"; None when both are out of
+    bounds."""
     ie_ok = t <= INCLUSION_EXCLUSION_MAX_T
     scan_ok = nbits < BRUTE_FORCE_MAX_N
-    if ie_ok and (not scan_ok or (1 << t) * max(t, 1) <= (1 << nbits)):
+    blocks = 1 << max(0, nbits - kernels.BLOCK_BITS)
+    if ie_ok and (not scan_ok or (1 << t) <= (t + 1) * blocks):
         return "incl-excl"
     return "subsets" if scan_ok else None
 
@@ -167,23 +171,27 @@ class PartialJoinStructure:
         """The counting route ``count`` takes: "components", "incl-excl" or
         "subsets".
 
-        "components" when the clauses split nontrivially, into two or more
-        components or into one beside a free bit; each component then takes
-        the cheaper of the two routes below on its own bits.  Otherwise the
-        whole table takes inclusion-exclusion when its 2^t terms cost no more
-        than the 2^(n-1)-subset scan or the scan is out of bounds, and the
-        scan otherwise.  Raises TooLarge, before any count starts, when the
-        whole table or one component is out of both bounds.
+        A table whose 2^(n-1) subsets fit in one scan block (n - 1 <=
+        BLOCK_BITS) is counted whole: the one-block scan costs less than
+        splitting its clauses.  A larger table takes "components" when the
+        clauses split nontrivially, into two or more components or into one
+        beside a free bit; each component then takes the cheaper of the two
+        routes below on its own bits.  Otherwise the whole table takes
+        inclusion-exclusion when its 2^t terms cost no more than t + 1 passes
+        over the scan's blocks or the scan is out of bounds, and the scan
+        otherwise.  Raises TooLarge, before any count starts, when the whole
+        table or one component is out of both bounds.
         """
-        parts, free = self.components
-        if len(parts) > 1 or (parts and free):
-            for width, clauses in parts:
-                if _method(width, len(clauses)) is None:
-                    raise TooLarge(
-                        f"a component of {width} elements with t={len(clauses)}"
-                        " exceeds both counting bounds"
-                    )
-            return "components"
+        if self.n - 1 > kernels.BLOCK_BITS:
+            parts, free = self.components
+            if len(parts) > 1 or (parts and free):
+                for width, clauses in parts:
+                    if _method(width, len(clauses)) is None:
+                        raise TooLarge(
+                            f"a component of {width} elements with t={len(clauses)}"
+                            " exceeds both counting bounds"
+                        )
+                return "components"
         t = self.host.ubtas.t
         method = _method(self.n - 1, t)
         if method is None:

@@ -33,6 +33,16 @@ def random_semilattice(rng: random.Random, n: int) -> SemilatticeTable:
     return S
 
 
+def join_closed_by_mask(nbits: int, clauses) -> list[int]:
+    """Oracle for the scan kernels: each mask in [0, 2^nbits) tested against
+    each clause on its own, ascending."""
+    found = []
+    for mask in range(1 << nbits):
+        if all(mask & need != need or mask & join for need, join in clauses):
+            found.append(mask)
+    return found
+
+
 def random_tree(rng: random.Random, n: int) -> SemilatticeTable:
     """A random tree semilattice: each new element covers one existing element."""
     S = validate([[0]])

@@ -93,6 +93,24 @@ def test_usage_error_exits_three(capsys):
     assert exc.value.code == 3
 
 
+def _usage_cases():
+    path = os.path.join(os.path.dirname(__file__), "data", "cli_usage.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", _usage_cases(), ids=lambda case: " ".join(case["argv"]))
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, case):
+    # main builds only the named command's parser; top-level help, a missing
+    # or unknown command and every command's help must read as when it
+    # built all of them (argparse wraps help at $COLUMNS)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == (case["code"], case["out"], case["err"])
+
+
 # --- count ----------------------------------------------------------------------
 
 
@@ -140,24 +158,27 @@ def test_count_json_all(capsys):
 
 
 def test_count_components_route(capsys):
-    table = json.dumps(three_b4().to_obj())
+    table = json.dumps(extend_below(three_b4(), 4).to_obj())
     code, out, _ = run(capsys, "count", table)
-    assert code == 0 and out == "components: 343 = 343/16*2^(10-6)\n"
+    assert code == 0 and out == "components: 5488 = 343/16*2^(14-6)\n"
     code, out, _ = run(capsys, "count", table, "--format=json")
-    assert code == 0 and json.loads(out)["counts"] == {"components": 343}
+    assert code == 0 and json.loads(out)["counts"] == {"components": 5488}
 
 
-def test_count_all_checks_the_components_route(capsys):
-    table = json.dumps(three_b4().to_obj())
-    routes = ("congruences", "subsets", "incl-excl", "components")
-    code, out, _ = run(capsys, "count", table, "--method=all")
-    assert code == 0
-    expected = [f"{route}: 343 = 343/16*2^(10-6)" for route in routes]
-    assert out.splitlines() == expected + ["agreement: yes"]
-    code, out, _ = run(capsys, "count", table, "--method=all", "--format=json")
-    payload = json.loads(out)
-    assert payload["counts"] == dict.fromkeys(routes, 343)
-    assert payload["agree"] is True
+def test_count_components_route_agrees_with_subsets_and_incl_excl(capsys):
+    # components needs n - 1 > 12, beyond the congruence bound, so
+    # --method=all refuses such a table; the scan and the sum check it
+    table = json.dumps(extend_below(three_b4(), 4).to_obj())
+    for method in ("subsets", "incl-excl"):
+        code, out, _ = run(capsys, "count", table, f"--method={method}")
+        assert code == 0 and out == f"{method}: 5488 = 343/16*2^(14-6)\n"
+    code, out, err = run(capsys, "count", table, "--method=all")
+    assert code == 2 and out == "" and err == "error: n=14 exceeds bound 10\n"
+
+
+def test_count_counts_three_b4_whole(capsys):
+    code, out, _ = run(capsys, "count", json.dumps(three_b4().to_obj()))
+    assert code == 0 and out == "subsets: 343 = 343/16*2^(10-6)\n"
 
 
 # --- classify -------------------------------------------------------------------

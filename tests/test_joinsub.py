@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import NAMED_POOL, grown, random_semilattice, three_b4
+from conftest import NAMED_POOL, grown, join_closed_by_mask, random_semilattice, three_b4
 from slcong.cli import main
 from slcong.congruences import all_meet_congruences
 from slcong.core import extend_below, from_covers, named
@@ -156,15 +156,19 @@ def block_product(S):
 
 
 def test_default_route_matches_the_scan_exhaustively():
-    # the relabeling scatters each component's bits over S+
+    # each class with n <= 8, and a relabeling that scatters its components'
+    # bits over S+, extended below to n = 14, beyond one scan block, where
+    # count() splits the clauses into components
     rng = random.Random(8)
     for n in range(1, 9):
         for S in enumerate_semilattices(n):
+            expected = len(join_closed_by_mask(n - 1, PartialJoinStructure(S).clauses))
             perm = list(range(1, n))
             rng.shuffle(perm)
             for T in (S, S.relabel([0] + perm)):
-                pj = PartialJoinStructure(T)
-                assert pj.count() == pj.count_bruteforce(), T.meet
+                pj = PartialJoinStructure(extend_below(T, 14 - n))
+                assert pj.route() == ("components" if S.ubtas.t else "incl-excl")
+                assert pj.count() == expected << (14 - n), T.meet
 
 
 def test_catalog_tables_do_not_split():
@@ -172,12 +176,40 @@ def test_catalog_tables_do_not_split():
         assert PartialJoinStructure(named(name)).route() != "components", name
 
 
+@pytest.mark.parametrize(
+    "name,route",
+    [
+        ("b4", "incl-excl"),
+        ("n5", "subsets"),
+        ("f", "subsets"),
+        ("n6", "subsets"),
+        ("grid2x3", "subsets"),
+    ],
+)
+def test_one_block_tables_are_counted_whole(name, route):
+    # n - 1 <= BLOCK_BITS: one scan block, cheaper than splitting the clauses
+    assert PartialJoinStructure(named(name)).route() == route
+
+
 def test_three_b4_counts_as_a_product():
-    pj = PartialJoinStructure(three_b4())
-    assert pj.components == (((3, ((0b011, 0b100),)),) * 3, 0)
+    pj = PartialJoinStructure(extend_below(three_b4(), 4))
+    assert pj.components == (((3, ((0b011, 0b100),)),) * 3, 4)
     assert pj.route() == "components"
-    assert pj.count() == 343 == 7**3
+    assert pj.count() == 5488 == 7**3 * 16
     assert PartialJoinStructure(extend_below(three_b4(), 2)).components[1] == 2
+    # ten elements fit in one scan block, so three_b4 itself is scanned whole
+    pj = PartialJoinStructure(three_b4())
+    assert pj.route() == "subsets" and pj.count() == 343
+
+
+def test_wide_scan_counts_a_fan_under_a_chain(capsys):
+    # n = 25, t = 45: the 2^24-mask scan runs over 4,096 blocks
+    S = extend_below(fan(10), 13)
+    pj = PartialJoinStructure(S)
+    assert (S.n, pj.host.ubtas.t) == (25, 45)
+    assert pj.count_bruteforce() == pj.count() == 8478720
+    assert main(["count", json.dumps(S.to_obj()), "--method", "subsets", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == {"subsets": 8478720}
 
 
 # b4 stacked on b4 through one chain element: two nonsingleton blocks

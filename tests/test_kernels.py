@@ -2,17 +2,24 @@
 
 import itertools
 
-from conftest import NAMED_POOL, random_semilattice
+from conftest import NAMED_POOL, join_closed_by_mask, random_semilattice
 from slcong import kernels
 from slcong.congruences import all_meet_congruences_bruteforce
 from slcong.core import named
+from slcong.enumeration import _joinclosed_downset_masks, enumerate_semilattices
 
 
 def random_clauses(rng, nbits, t):
+    """t clauses on nbits bits: needs of 1-2 bits and joins of 1-2 bits,
+    which may meet the need, with duplicates."""
     clauses = []
     for _ in range(t):
-        a, b, v = rng.sample(range(nbits), 3)
-        clauses.append(((1 << a) | (1 << b), 1 << v))
+        if clauses and rng.random() < 0.1:
+            clauses.append(rng.choice(clauses))
+            continue
+        need = sum(1 << b for b in rng.sample(range(nbits), min(nbits, rng.randint(1, 2))))
+        join = sum(1 << rng.randrange(nbits) for _ in range(rng.randint(1, 2)))
+        clauses.append((need, join))
     return clauses
 
 
@@ -21,19 +28,46 @@ def test_selected_implementation_exposed():
 
 
 def test_pure_scan_against_itertools(rng):
-    for _ in range(20):
-        nbits = rng.randrange(1, 13)
-        full = (1 << nbits) - 1
-        clauses = random_clauses(rng, max(nbits, 3), rng.randrange(0, 8))
-        clauses = [(need & full, join & full) for need, join in clauses]
-        naive = sum(
-            1
-            for mask in range(1 << nbits)
-            if all(not (mask & need == need and not mask & join) for need, join in clauses)
-        )
-        assert kernels.scan_join_closed(nbits, clauses) == naive
-        listed = kernels.list_join_closed(nbits, clauses)
-        assert len(listed) == naive and listed == sorted(listed)
+    # nbits up to 15 spans 1 to 8 blocks of 2^BLOCK_BITS masks
+    assert kernels.BLOCK_BITS == 12
+    for nbits in range(16):
+        for t in (0, 1, 3, 8):
+            if nbits == 0 and t:
+                continue
+            clauses = random_clauses(rng, nbits, t)
+            expected = join_closed_by_mask(nbits, clauses)
+            assert kernels.scan_join_closed(nbits, clauses) == len(expected), (nbits, clauses)
+            assert kernels.list_join_closed(nbits, clauses) == expected, (nbits, clauses)
+
+
+def test_listing_ascends_across_block_boundaries():
+    assert kernels.list_join_closed(14, []) == list(range(1 << 14))
+    # each clause straddles the low and the high bits of a 14-bit mask
+    clauses = [((1 << 11) | (1 << 12), 1 << 13), (1 << 13, 1), ((1 << 12) | 2, 1 << 5)]
+    expected = join_closed_by_mask(14, clauses)
+    listed = kernels.list_join_closed(14, clauses)
+    assert listed == expected and listed[0] == 0 and len(listed) < 1 << 14
+    assert kernels.scan_join_closed(14, clauses) == len(expected)
+
+
+def test_scans_match_the_oracle_on_the_walks_ideal_clauses(monkeypatch):
+    # the clauses the enumeration walk lists its ideals with, on every class
+    # with n <= 8
+    seen = []
+    list_join_closed = kernels.list_join_closed
+
+    def checked(nbits, clauses):
+        listed = list_join_closed(nbits, clauses)
+        assert listed == join_closed_by_mask(nbits, clauses), clauses
+        assert kernels.scan_join_closed(nbits, clauses) == len(listed)
+        seen.append(nbits)
+        return listed
+
+    tables = [S for n in range(1, 9) for S in enumerate_semilattices(n)]
+    monkeypatch.setattr(kernels, "list_join_closed", checked)
+    for S in tables:
+        _joinclosed_downset_masks(S)
+    assert len(seen) == len(tables) == 1377
 
 
 def test_op_compatible_against_definition(rng):
