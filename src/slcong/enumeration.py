@@ -10,12 +10,14 @@ element lands in the same orbit as a fixed deletion target of the child's
 canonical form.  Each isomorphism class is therefore produced exactly once,
 with no cross-parent deduplication.
 
-The walk is depth-first, and each class is searched once: the canonical
-search of a kept child gives the generators for its orbit test, and the
-child is expanded at once, in the labelling it was built in (acceptance
-does not depend on it), with those generators splitting its ideals.  A
-child whose new element lacks the largest (down-set size, up-set size) or
-refinement color is rejected before any search.
+The walk (``walk``) is depth-first, and each class is searched once: the
+canonical search of a kept child gives the generators for its orbit test,
+and the child is expanded at once, in the labelling it was built in
+(acceptance does not depend on it), with those generators splitting its
+ideals.  A child whose new element lacks the largest (down-set size, up-set
+size) or refinement color is rejected before any search.  The walk yields
+each class as it is found and stores no level; ``enumerate_semilattices(n)``
+walks to n and sorts the n-element classes.
 
 Every table the walk makes starts with its down-set and up-set masks: a
 child's come from its parent's and the ideal (``_extend``), a canonical
@@ -29,7 +31,9 @@ partitioning.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from . import kernels
 from .core import (
@@ -151,33 +155,31 @@ def _accepted_canonical(child: SemilatticeTable) -> tuple[SemilatticeTable, list
     return K, generators
 
 
-_levels: dict[int, tuple[SemilatticeTable, ...]] = {1: (_ONE,)}
+def walk(max_n: int) -> Iterator[SemilatticeTable]:
+    """Every canonical class with 1..max_n elements, once each, depth-first:
+    a kept child comes before its own children.  The duplicate check keeps
+    each meet table as bytes, a tenth of the tuples' size (entries stay
+    below 256 in any walk that can finish)."""
+    seen: set[bytes] = set()
 
+    def expand(parent: SemilatticeTable, generators: list[list[int]]) -> Iterator[SemilatticeTable]:
+        for mask in _orbit_representatives(parent, generators):
+            child = _extend(parent, mask)
+            kept = _accepted_canonical(child)
+            if kept is None:
+                continue
+            K, child_generators = kept
+            key = bytes(chain.from_iterable(K.meet))
+            if key in seen:
+                raise InternalInconsistency("canonical augmentation produced a duplicate")
+            seen.add(key)
+            yield K
+            if child.n < max_n:
+                yield from expand(child, child_generators)
 
-def _level(k: int) -> tuple[SemilatticeTable, ...]:
-    """The sorted canonical k-element tables; a level not yet stored is found
-    by a depth-first walk from the root, which stores every level to k."""
-    if k not in _levels:
-        found: dict[int, dict[tuple, SemilatticeTable]] = {m: {} for m in range(2, k + 1)}
-
-        def expand(parent: SemilatticeTable, generators: list[list[int]]) -> None:
-            level = found[parent.n + 1]
-            for mask in _orbit_representatives(parent, generators):
-                child = _extend(parent, mask)
-                kept = _accepted_canonical(child)
-                if kept is None:
-                    continue
-                K, child_generators = kept
-                if K.meet in level:
-                    raise InternalInconsistency("canonical augmentation produced a duplicate")
-                level[K.meet] = K
-                if child.n < k:
-                    expand(child, child_generators)
-
-        expand(_ONE, [])
-        for m, level in found.items():
-            _levels[m] = tuple(sorted(level.values(), key=lambda S: S.meet))
-    return _levels[k]
+    yield _ONE
+    if max_n > 1:
+        yield from expand(_ONE, [])
 
 
 def enumerate_semilattices(n: int, max_n: int | None = None) -> list[SemilatticeTable]:
@@ -187,7 +189,7 @@ def enumerate_semilattices(n: int, max_n: int | None = None) -> list[Semilattice
     bound = DEFAULT_MAX_N if max_n is None else max_n
     if n > bound:
         raise TooLarge(f"n={n} exceeds enumeration bound {bound}")
-    return list(_level(n))
+    return sorted((S for S in walk(n) if S.n == n), key=lambda S: S.meet)
 
 
 def _extend_checked(S: SemilatticeTable, mask: int) -> SemilatticeTable | None:

@@ -1,5 +1,6 @@
 """Shared fixtures and random-structure helpers."""
 
+import functools
 import itertools
 import random
 
@@ -14,9 +15,15 @@ from slcong.core import (
     named,
     validate,
 )
-from slcong.enumeration import _extend_checked
+from slcong.enumeration import _extend_checked, enumerate_semilattices
 
 NAMED_POOL = ("chain_1", "chain_2", "chain_4", "chain_6", "b4", "n5", "m3", "f", "n6", "grid2x3")
+
+
+@functools.cache
+def classes(n: int) -> tuple[SemilatticeTable, ...]:
+    """The canonical n-element classes, walked once for the whole session."""
+    return tuple(enumerate_semilattices(n))
 
 
 def random_semilattice(rng: random.Random, n: int) -> SemilatticeTable:

@@ -1,9 +1,10 @@
 import json
 import os
+import re
 
 import pytest
 
-from slcong import enumeration, structure
+from slcong import enumeration, structure, verify
 from slcong.cli import main
 from conftest import three_b4
 from slcong.core import extend_below, named
@@ -347,10 +348,57 @@ def test_verify_below_two_exits_two(capsys, n_max):
     assert err.count("\n") == 1 and "at least 2" in err
 
 
+@pytest.mark.parametrize("n_max", ["10", "1000000"])
+def test_verify_above_the_enumeration_bound_exits_two(capsys, monkeypatch, n_max):
+    def no_walk(max_n):
+        raise AssertionError("walked before the bound was checked")
+
+    monkeypatch.setattr(verify, "walk", no_walk)
+    code, out, err = run(capsys, "verify", n_max)
+    assert code == 2 and out == ""
+    assert err == f"error: n_max={n_max} exceeds enumeration bound 9\n"
+
+
+VERIFY_CLAIMS = [
+    "small-spectra",
+    "top-four-values",
+    "quasi-tree-fixtures",
+    "congruence-subalgebra-duality",
+    "tree-quotient",
+    "convex-block-criterion",
+    "lattice-congruence-bound",
+    "interval-block-counts",
+    "enumeration-oracle",
+]
+
+
 def test_verify_seven_all_claims_pass(capsys):
     code, out, _ = run(capsys, "verify", "7")
     assert code == 0
-    assert out.count("PASS") == 9 and "FAIL" not in out
+    assert re.findall(r"^PASS (\S+) ", out, re.M) == VERIFY_CLAIMS
+    # each exhaustive claim names the largest n it checked
+    assert re.findall(r"\(n <= (\d+):", out) == ["7", "7", "6", "7", "6"]
+    assert "n=6: 53 classes" in out and "n=7: 222 classes" in out
+
+
+def test_verify_check_that_raises_fails_only_its_own_claim(capsys, monkeypatch):
+    seen = []
+    real = verify.tree_congruence
+
+    def broken(S):
+        seen.append(S)
+        if len(seen) == 40:
+            raise ValueError("broken on purpose")
+        return real(S)
+
+    monkeypatch.setattr(verify, "tree_congruence", broken)
+    code, out, _ = run(capsys, "verify", "6")
+    assert code == 1
+    assert re.findall(r"^(PASS|FAIL) (\S+) ", out, re.M) == [
+        ("FAIL" if name == "tree-quotient" else "PASS", name) for name in VERIFY_CLAIMS
+    ]
+    assert "FAIL tree-quotient (ValueError: broken on purpose)" in out
+    assert len(seen) == 40  # the failed check got no more of the 77 classes
 
 
 # --- export-dot ------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import NAMED_POOL
+from conftest import NAMED_POOL, classes
 from slcong import kernels
 from slcong.congruences import (
     Partition,
@@ -16,7 +16,6 @@ from slcong.congruences import (
     quotient,
 )
 from slcong.core import are_isomorphic, named
-from slcong.enumeration import enumerate_semilattices
 from slcong.errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
 from slcong.joinsub import PartialJoinStructure
 from slcong.structure import tree_congruence
@@ -110,7 +109,7 @@ def test_congruence_counts(name, count):
 def test_fast_path_matches_bell_oracle():
     pool = [named(name) for name in NAMED_POOL]
     for n in range(1, 8):
-        pool += enumerate_semilattices(n)
+        pool += classes(n)
     for S in pool:
         fast = all_meet_congruences(S)
         slow = all_meet_congruences_bruteforce(S)
@@ -119,7 +118,7 @@ def test_fast_path_matches_bell_oracle():
 
 def test_listed_congruences_are_closure_fixpoints_without_duplicates():
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             cons = all_meet_congruences(S)
             assert len({P.blocks for P in cons}) == len(cons)
             for P in cons:
@@ -131,7 +130,7 @@ def test_join_pair_matches_closure_from_scratch():
     # least Bell-scan congruence above P relating x and y
     pool = [named(name) for name in NAMED_POOL]
     for n in range(1, 7):
-        pool += enumerate_semilattices(n)
+        pool += classes(n)
     for S in pool:
         cons = all_meet_congruences_bruteforce(S)
         for P in cons:
@@ -149,7 +148,7 @@ def test_join_pair_matches_closure_from_scratch():
 def test_eight_element_congruences_match_join_closed_subset_counts():
     # |Con S| = |Sub(S+)| (the duality), counted by the subset scan, on all
     # 1078 classes with n = 8; entries are distinct by construction
-    tables = enumerate_semilattices(8)
+    tables = classes(8)
     assert len(tables) == 1078
     for S in tables:
         cons = all_meet_congruences(S)
@@ -173,7 +172,7 @@ def test_too_large():
 def test_blocks_convex_and_meet_closed():
     # every block of every congruence, all semilattices with n <= 7
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             for P in all_meet_congruences(S):
                 for block in P.blocks:
                     assert S.is_convex_subsemilattice(block)
@@ -209,7 +208,7 @@ def test_generated_b4_pair():
 
 def test_generated_is_least_containing():
     for n in range(2, 7):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             cons = all_meet_congruences_bruteforce(S)
             for x in range(S.n):
                 for y in range(x + 1, S.n):

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     NAMED_POOL,
     automorphisms,
+    classes,
     grown,
     random_semilattice,
     random_tree,
@@ -37,7 +38,6 @@ from slcong.errors import (
     TooLarge,
     UnknownName,
 )
-from slcong.enumeration import enumerate_semilattices
 from slcong.joinsub import congruence_count
 
 
@@ -161,7 +161,7 @@ def test_validate_matches_triple_scan_random():
 def test_validate_accepts_relabeled_semilattices():
     rng = random.Random(0x0BAD)
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             rest = list(range(1, n))
             rng.shuffle(rest)
             T = S.relabel([0] + rest)
@@ -175,7 +175,7 @@ def test_validate_accepts_relabeled_semilattices():
 
 def test_below_mask_reads_the_same_down_sets_off_rows_and_columns(rng):
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
                 columns = [sum(1 << z for z in range(n) if T.meet[z][x] == z) for x in range(n)]
                 assert list(T.below_mask) == columns
@@ -247,7 +247,7 @@ def test_ubtas_complete_and_sound(rng):
     tables = [named(name) for name in NAMED_POOL]
     tables += [grown(rng, named(name), named(name).n + 8) for name in NAMED_POOL[4:]]
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             tables += [S, S.relabel([0] + rng.sample(range(1, n), n - 1))]
     for S in tables:
         rng_n = range(S.n)
@@ -268,7 +268,7 @@ def test_covers_match_their_definition(rng):
     # with n <= 7, a relabeling of each and the catalog
     tables = [named(name) for name in NAMED_POOL]
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             perm = list(range(1, n))
             rng.shuffle(perm)
             tables += [S, S.relabel([0] + perm)]
@@ -371,10 +371,9 @@ def test_canonical_form_b4_labelings():
 
 
 def test_canonical_form_constant_over_all_relabelings():
-    from slcong.enumeration import enumerate_semilattices
-
+    
     for n in range(2, 6):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             K = canonical_form(S).meet
             for tail in itertools.permutations(range(1, n)):
                 assert canonical_form(S.relabel((0,) + tail)).meet == K
@@ -413,7 +412,7 @@ def _is_meet_automorphism(S, g):
 
 
 def test_automorphism_generators_are_meet_automorphisms(rng):
-    pool = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    pool = [S for n in range(1, 8) for S in classes(n)]
     pool += [named(name) for name in NAMED_POOL]
     pool += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in pool[:120] if S.n > 1]
     found = 0
@@ -427,7 +426,7 @@ def test_automorphism_generators_are_meet_automorphisms(rng):
 
 def test_automorphism_generators_span_the_whole_group(rng):
     for n in range(1, 7):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             # every automorphism fixes the least element 0
             brute = sum(
                 1
@@ -458,7 +457,7 @@ def test_canonical_search_prunes_by_its_automorphisms():
 def test_orbit_representatives_match_brute_force_orbits(rng):
     from slcong.enumeration import _joinclosed_downset_masks, _orbit_representatives
 
-    parents = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    parents = [S for n in range(1, 8) for S in classes(n)]
     assert len(parents) == 299
     for S in parents:
         # the walk expands parents in the labelling they were built in

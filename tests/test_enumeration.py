@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import NAMED_POOL, automorphisms, span_order, triangle_square
+from conftest import NAMED_POOL, automorphisms, classes, span_order, triangle_square
 from slcong import enumeration, verify
 from slcong.congruences import is_lattice
 from slcong.core import (
@@ -24,6 +24,7 @@ from slcong.enumeration import (
     enumerate_semilattices_bruteforce,
     spectrum,
     top_values,
+    walk,
 )
 from slcong.errors import InternalInconsistency, NotEnoughValues, TooLarge
 from slcong.joinsub import congruence_count
@@ -34,21 +35,49 @@ EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15, 6: 53, 7: 222}
 
 def test_counts_against_oracle():
     for n in range(1, 7):
-        fast = enumerate_semilattices(n)
+        fast = classes(n)
         slow = enumerate_semilattices_bruteforce(n)
         assert len(fast) == len(slow) == EXPECTED_COUNTS[n]
         assert {S.meet for S in fast} == {canonical_form(S).meet for S in slow}
 
 
+def test_walk_yields_each_class_once():
+    levels = {n: [] for n in range(1, 9)}
+    for S in walk(8):
+        levels[S.n].append(S.meet)
+    assert [len(level) for level in levels.values()] == [1, 1, 2, 5, 15, 53, 222, 1078]
+    assert len({meet for level in levels.values() for meet in level}) == 1377
+    for n, level in levels.items():
+        assert [S.meet for S in classes(n)] == sorted(level)
+
+
+def test_walk_refuses_a_duplicated_class(monkeypatch):
+    # both 3-element classes are reported as the first one kept
+    real = enumeration._accepted_canonical
+    kept = []
+
+    def accepted(child):
+        found = real(child)
+        if found is not None and child.n == 3:
+            kept.append(found)
+            return kept[0]
+        return found
+
+    monkeypatch.setattr(enumeration, "_accepted_canonical", accepted)
+    with pytest.raises(InternalInconsistency, match="duplicate"):
+        list(walk(3))
+    assert len(kept) == 2
+
+
 def test_eight_element_count():
     # n-element semilattices with 0 are the (n+1)-element lattices: OEIS A006966
-    assert len(enumerate_semilattices(8)) == 1078
+    assert len(classes(8)) == 1078
 
 
 def test_eight_element_canonical_forms_are_pinned():
     # the sha256 of every canonical meet table at n = 8, in output order, as
     # the walk produced them before tables carried their masks
-    rows = json.dumps([S.meet for S in enumerate_semilattices(8)]).encode()
+    rows = json.dumps([S.meet for S in classes(8)]).encode()
     assert (
         hashlib.sha256(rows).hexdigest()
         == "f3a33609c75ff282f2954eee89e926d30d41951f9a11d2c819c8670cc56c0d3e"
@@ -68,7 +97,7 @@ def test_walk_tables_carry_their_masks(rng):
     # them, kept or not, and each canonical form hold their definitions' masks
     checked = 0
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             assert (S.below_mask, S.above_mask) == _masks_by_definition(S)
             for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
                 for mask in _joinclosed_downset_masks(T):
@@ -111,21 +140,25 @@ def _refine_by_pairs(T):
 
 def test_refine_matches_the_pair_definition(rng):
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
                 assert _refine(T) == _refine_by_pairs(T), T.meet
 
 
 def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
-    real = verify.enumerate_semilattices
+    # the walk repeats the first 5-element class in place of the last one,
+    # so the class counts still agree and only the pairing can notice
+    real = verify.walk
 
-    def duplicated(n):
-        tables = real(n)
-        return [tables[0]] + tables[:-1] if n == 5 else tables
+    def duplicated(max_n):
+        tables = list(real(max_n))
+        fives = [i for i, S in enumerate(tables) if S.n == 5]
+        tables[fives[-1]] = tables[fives[0]]
+        return iter(tables)
 
-    assert len(duplicated(5)) == len(real(5))
-    monkeypatch.setattr(verify, "enumerate_semilattices", duplicated)
-    with pytest.raises(AssertionError):
+    assert sum(S.n == 5 for S in duplicated(5)) == len(classes(5))
+    monkeypatch.setattr(verify, "walk", duplicated)
+    with pytest.raises(AssertionError, match="matches no unpaired oracle class at n=5"):
         verify.claim_enumeration_oracle(5)
 
 
@@ -135,7 +168,7 @@ def test_accepted_canonical_keeps_one_brute_force_orbit(rng):
     # force, whatever the labelling
     moved = 0
     for n in range(2, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             group = automorphisms(S)
             decisions = {}
             for top in S.maximal_elements:
@@ -181,7 +214,7 @@ def _ideals_by_definition(T):
 
 def test_ideals_match_definition(rng):
     tables = [named(name) for name in NAMED_POOL]
-    tables += [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    tables += [S for n in range(1, 8) for S in classes(n)]
     for S in tables:
         for T in (S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))):
             assert _joinclosed_downset_masks(T) == _ideals_by_definition(T), T.meet
@@ -195,7 +228,7 @@ def test_size_pretest_rejects_only_children_the_color_test_rejects(monkeypatch, 
         refined.append(S)
         return real(S)
 
-    tables = [S for n in range(1, 7) for S in enumerate_semilattices(n)]
+    tables = [S for n in range(1, 7) for S in classes(n)]
     monkeypatch.setattr(enumeration, "_refine", refine)
     skipped = 0
     for S in tables:
@@ -209,17 +242,6 @@ def test_size_pretest_rejects_only_children_the_color_test_rejects(monkeypatch, 
                     colors = real(child)
                     assert accepted is None and colors[T.n] != max(colors), child.meet
     assert skipped > 0
-
-
-def test_direct_request_stores_every_level(monkeypatch):
-    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
-    enumerate_semilattices(7)
-    direct = dict(enumeration._levels)
-    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
-    for n in range(2, 8):
-        enumerate_semilattices(n)
-    assert sorted(direct) == list(range(1, 8))
-    assert direct == enumeration._levels
 
 
 def test_accepted_canonical_separates_orbits_of_one_color():
@@ -240,7 +262,7 @@ def test_accepted_canonical_separates_orbits_of_one_color():
 
 def test_three_element_classes():
     chain, vee = None, None
-    for S in enumerate_semilattices(3):
+    for S in classes(3):
         if S.ubtas.t == 0 and S.has_top():
             chain = S
         elif S.ubtas.t == 0:
@@ -250,7 +272,7 @@ def test_three_element_classes():
 
 
 def test_seven_element_count_against_oracle():
-    fast = enumerate_semilattices(7)
+    fast = classes(7)
     slow = enumerate_semilattices_bruteforce(7)
     assert len(fast) == len(slow) == EXPECTED_COUNTS[7]
     assert {S.meet for S in fast} == {canonical_form(S).meet for S in slow}
@@ -267,7 +289,7 @@ def test_outputs_canonical_sorted_valid():
 
 def test_no_isomorphic_duplicates():
     for n in range(1, 6):
-        tables = enumerate_semilattices(n)
+        tables = classes(n)
         for i, S in enumerate(tables):
             for T in tables[i + 1 :]:
                 assert not are_isomorphic(S, T)
@@ -277,8 +299,8 @@ def test_lattice_correspondence():
     # n-element semilattices match (n+1)-element semilattices with a top;
     # at n = 8 this exercises the full n = 9 level of the generator
     for n in range(1, 9):
-        here = len(enumerate_semilattices(n))
-        above = sum(1 for T in enumerate_semilattices(n + 1) if is_lattice(T))
+        here = len(classes(n))
+        above = sum(1 for T in classes(n + 1) if is_lattice(T))
         assert here == above
 
 

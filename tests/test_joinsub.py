@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from conftest import NAMED_POOL, grown, join_closed_by_mask, random_semilattice, three_b4
+from conftest import NAMED_POOL, classes, grown, join_closed_by_mask, random_semilattice, three_b4
 from slcong.cli import main
 from slcong.congruences import all_meet_congruences
 from slcong.core import extend_below, from_covers, named
-from slcong.enumeration import enumerate_semilattices
 from slcong.errors import (
     ContainsZero,
     DualityViolation,
@@ -104,7 +103,7 @@ def test_counts_match_naive_oracle():
 
 def test_routes_agree_exhaustively():
     for n in range(1, 9):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             pj = PartialJoinStructure(S)
             assert pj.count_bruteforce() == pj.count_inclusion_exclusion()
 
@@ -161,7 +160,7 @@ def test_default_route_matches_the_scan_exhaustively():
     # count() splits the clauses into components
     rng = random.Random(8)
     for n in range(1, 9):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             expected = len(join_closed_by_mask(n - 1, PartialJoinStructure(S).clauses))
             perm = list(range(1, n))
             rng.shuffle(perm)
@@ -296,7 +295,7 @@ def test_verify_duality_chain5():
 
 
 def test_verify_duality_all_six_element():
-    tables = enumerate_semilattices(6)
+    tables = classes(6)
     assert len(tables) == 53
     for S in tables:
         report = verify_duality(S)
@@ -340,7 +339,7 @@ def test_verify_duality_rejects_a_dual_twisted_by_an_automorphism(monkeypatch):
 
 def test_dual_reverses_inclusion_pairwise():
     # the exhaustive comparison: X <= Y iff dual(Y) refines dual(X)
-    tables = [S for n in range(1, 8) for S in enumerate_semilattices(n)]
+    tables = [S for n in range(1, 8) for S in classes(n)]
     tables += [named(name) for name in NAMED_POOL]
     for S in tables:
         pj = PartialJoinStructure(S)

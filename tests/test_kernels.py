@@ -2,11 +2,11 @@
 
 import itertools
 
-from conftest import NAMED_POOL, join_closed_by_mask, random_semilattice
+from conftest import NAMED_POOL, classes, join_closed_by_mask, random_semilattice
 from slcong import kernels
 from slcong.congruences import all_meet_congruences_bruteforce
 from slcong.core import named
-from slcong.enumeration import _joinclosed_downset_masks, enumerate_semilattices
+from slcong.enumeration import _joinclosed_downset_masks
 
 
 def random_clauses(rng, nbits, t):
@@ -63,7 +63,7 @@ def test_scans_match_the_oracle_on_the_walks_ideal_clauses(monkeypatch):
         seen.append(nbits)
         return listed
 
-    tables = [S for n in range(1, 9) for S in enumerate_semilattices(n)]
+    tables = [S for n in range(1, 9) for S in classes(n)]
     monkeypatch.setattr(kernels, "list_join_closed", checked)
     for S in tables:
         _joinclosed_downset_masks(S)

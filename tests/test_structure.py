@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import NAMED_POOL
+from conftest import NAMED_POOL, classes
 from slcong.congruences import (
     Partition,
     all_meet_congruences_bruteforce,
@@ -8,7 +8,6 @@ from slcong.congruences import (
     quotient,
 )
 from slcong.core import are_isomorphic, attach_above, extend_below, from_covers, named, validate
-from slcong.enumeration import enumerate_semilattices
 from slcong.errors import NotConvexSubsemilattice, NotQuasiTree, SemilatticeError
 from slcong.structure import (
     SemilatticeClass,
@@ -62,7 +61,7 @@ def _ubta_pairs(S):
 def test_tree_congruence_is_least_bell_congruence_relating_ubtas(rng):
     pool = [named(name) for name in NAMED_POOL]
     for n in range(1, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             pool += [S, S.relabel([0] + rng.sample(range(1, n), n - 1))]
     for S in pool:
         pairs = _ubta_pairs(S)
@@ -118,7 +117,7 @@ def test_quasi_tree_big_n5():
 
 def test_skeleton_always_tree_small():
     for n in range(1, 7):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             if is_quasi_tree(S):
                 assert is_tree(skeleton(S))
 
@@ -142,7 +141,7 @@ def test_convex_block_rejects():
 
 def test_convex_block_criterion_agrees_small():
     for n in range(2, 6):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             for mask in range(1 << n):
                 if mask.bit_count() < 2:
                     continue
@@ -206,7 +205,7 @@ def test_classify_requires_two_elements():
 
 def test_classify_report_invariants():
     for n in range(2, 7):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             report = classify(S)
             assert (report.nucleus is not None) == is_quasi_tree(S)
             assert (report.skeleton is not None) == is_quasi_tree(S)
@@ -220,7 +219,7 @@ def test_classify_report_invariants():
 
 def test_report_skeleton_round_trips_through_its_covers():
     for n in range(2, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             report = classify(S)
             if report.skeleton is not None:
                 skel = report.to_obj()["skeleton"]
@@ -242,7 +241,7 @@ def test_report_json_shape():
 
 def test_single_ubta_means_b4_nucleus():
     for n in range(2, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             if S.ubtas.t == 1:
                 assert is_quasi_tree(S)
                 assert are_isomorphic(nucleus_table(S), named("b4"))
@@ -250,7 +249,7 @@ def test_single_ubta_means_b4_nucleus():
 
 def test_two_ubtas_shared_leg_comparable_others_means_n5():
     for n in range(2, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             if S.ubtas.t != 2:
                 continue
             (a1, b1, v1), (a2, b2, v2) = S.ubtas.items
@@ -264,7 +263,7 @@ def test_two_ubtas_shared_leg_comparable_others_means_n5():
 
 def test_bowtie_ubtas_mean_f():
     for n in range(2, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             if S.ubtas.t != 2:
                 continue
             (a1, b1, v1), (a2, b2, v2) = S.ubtas.items
@@ -274,7 +273,7 @@ def test_bowtie_ubtas_mean_f():
 
 def test_three_ubtas_common_leg_and_join_mean_n6():
     for n in range(2, 8):
-        for S in enumerate_semilattices(n):
+        for S in classes(n):
             if S.ubtas.t != 3:
                 continue
             pairs = [{u.a, u.b} for u in S.ubtas]

@@ -8,7 +8,7 @@ import importlib.util
 import os
 
 import slcong.cli
-from slcong import congruences, enumeration, joinsub
+from slcong import congruences, joinsub
 from slcong.core import named
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,9 +74,7 @@ def test_duality_check_keeps_both_routes():
     assert metrics["kernels.list_join_closed.calls"][0] == 1
 
 
-def test_enumeration_searches_once_per_kept_child(monkeypatch, capsys):
-    # an empty level store, so earlier tests cannot have filled it
-    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
+def test_enumeration_searches_once_per_kept_child(capsys):
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -90,8 +88,7 @@ def test_enumeration_searches_once_per_kept_child(monkeypatch, capsys):
     assert metrics["core.canonical_key.calls"][0] == 0
 
 
-def test_verify_walks_the_enumeration_once(monkeypatch, capsys):
-    monkeypatch.setattr(enumeration, "_levels", {1: (enumeration._ONE,)})
+def test_verify_walks_the_enumeration_once(capsys):
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -99,8 +96,8 @@ def test_verify_walks_the_enumeration_once(monkeypatch, capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    # one search per class at n = 2..6 (1 + 2 + 5 + 15 + 53), although the
-    # claims ask for n = 2, 3, ... in turn
+    # one search per class at n = 2..6 (1 + 2 + 5 + 15 + 53): every claim
+    # is fed from one pass over the walk
     assert tracer.metrics()["core.canonical_with_perm.calls"][0] == 76
 
 
