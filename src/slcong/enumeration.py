@@ -306,7 +306,8 @@ def top_values(sp: Spectrum, count: int) -> list[tuple[int, set[SemilatticeClass
     """
     values = sp.values[::-1]
     if len(values) < count:
-        raise NotEnoughValues(f"only {len(values)} spectrum values at n={sp.n}")
+        noun = "value" if len(values) == 1 else "values"
+        raise NotEnoughValues(f"NCsl({sp.n}) has {len(values)} {noun}, fewer than the {count} asked for")
     return [
         (value, {classify(S).semilattice_class for S in sp.by_value[value]})
         for value in values[:count]

@@ -256,6 +256,12 @@ def test_spectrum_top_checked_before_spectrum(capsys, monkeypatch):
     assert err == "error: top count must be at least 1, got 0\n"
 
 
+def test_spectrum_top_above_the_value_count_exits_two(capsys):
+    code, out, err = run(capsys, "spectrum", "3", "--top", "5")
+    assert code == 2 and out == ""
+    assert err == "error: NCsl(3) has 1 value, fewer than the 5 asked for\n"
+
+
 @pytest.mark.parametrize("argv", [["1"], ["0"], ["1", "--top", "1"]])
 def test_spectrum_below_two_checked_before_spectrum(capsys, monkeypatch, argv):
     def no_spectrum(*args, **kwargs):
@@ -379,6 +385,15 @@ def test_verify_seven_all_claims_pass(capsys):
     # each exhaustive claim names the largest n it checked
     assert re.findall(r"\(n <= (\d+):", out) == ["7", "7", "6", "7", "6"]
     assert "n=6: 53 classes" in out and "n=7: 222 classes" in out
+
+
+def test_verify_claims_read_the_same_from_shared_and_own_classes():
+    # run_claims hands every exhaustive claim the classes of one walk; each
+    # claim_ function alone walks for itself
+    shared = {r.claim: r.detail for r in verify.run_claims(6)}
+    for c, sizes in verify.SIZES.items():
+        own = getattr(verify, f"claim_{c}")(min(sizes[-1], 6))
+        assert shared[verify.CLAIMS[c]] == own, c
 
 
 def test_verify_check_that_raises_fails_only_its_own_claim(capsys, monkeypatch):

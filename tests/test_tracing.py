@@ -8,7 +8,7 @@ import importlib.util
 import os
 
 import slcong.cli
-from slcong import congruences, joinsub
+from slcong import congruences, joinsub, verify
 from slcong.core import named
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,16 +89,22 @@ def test_enumeration_searches_once_per_kept_child(capsys):
 
 
 def test_verify_walks_the_enumeration_once(capsys):
-    tracer = _load_spans().Tracer()
+    spans = _load_spans()
+    tracer = spans.Tracer()
     tracer.install()
     try:
         assert slcong.cli.main(["verify", "6"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    metrics = tracer.metrics()
     # one search per class at n = 2..6 (1 + 2 + 5 + 15 + 53): every claim
     # is fed from one pass over the walk
-    assert tracer.metrics()["core.canonical_with_perm.calls"][0] == 76
+    assert metrics["core.canonical_with_perm.calls"][0] == 76
+    # the tracer times each claim_ function, so it must name them all
+    assert spans.CLAIMS == tuple(verify.CLAIMS)
+    for c in spans.CLAIMS:
+        assert metrics[f"verify.claim.{c}.total_s"][0] > 0, c
 
 
 def test_tracer_sees_the_joins_of_congruence_enumeration():
