@@ -211,15 +211,13 @@ def is_lattice(S: SemilatticeTable) -> bool:
 
 
 def join_table(S: SemilatticeTable) -> tuple[tuple[int, ...], ...]:
-    """Total join table of a lattice as rows, like ``S.meet``."""
+    """Total join table of a lattice as rows, like ``S.meet``: x v y is the
+    element whose up-set is the common up-set of x and y."""
     if not is_lattice(S):
         raise NotALattice("no greatest element")
-    rng = range(S.n)
-
-    def join(x: int, y: int) -> int:  # 0 is the identity; partial_join covers S+
-        return S.partial_join(x, y) if x and y else x or y
-
-    return tuple(tuple(join(x, y) for y in rng) for x in rng)
+    above = S.above_mask
+    element_of = {up: z for z, up in enumerate(above)}
+    return tuple(tuple(element_of[ux & uy] for uy in above) for ux in above)
 
 
 def all_lattice_congruences(S: SemilatticeTable) -> list[Partition]:

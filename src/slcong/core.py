@@ -3,9 +3,12 @@
 Elements are the indices 0..n-1 and index 0 is always the least element;
 ``validate`` rejects tables that violate this instead of relabeling.  The
 derived order is x <= y iff meet(x, y) == x.  Subsets of the carrier are
-bitmasks throughout (bit i = element i).  The quasi-tree construction kit
+bitmasks throughout (bit i = element i), and meets, joins and covers are
+read off the down-set and up-set masks.  The quasi-tree construction kit
 (``attach_above``, ``extend_below``) and the catalog, chains aside, build
-their tables from lower covers through ``from_covers``.
+their tables from lower covers through ``from_covers``.  Classes are named
+by canonical certificate; ``partial_join``, the isomorphism search and the
+glb scan of the enumeration oracle serve the oracles only.
 """
 
 from __future__ import annotations
@@ -174,24 +177,16 @@ class SemilatticeTable:
         return True
 
     def lower_covers(self) -> list[list[int]]:
-        """The list whose entry x lists the elements that x covers, ascending.
-
-        Row x of the meet table holds exactly the down-set of x.  An element
-        with the largest down-set in a set is maximal there, so taking it and
-        dropping its down-set, until nothing is left, picks out the maximal
-        elements of the strict down-set of x: its lower covers.
-        """
-        downs = [set(row) for row in self.meet]
-        size = [len(down) for down in downs]
+        """The list whose entry x lists the elements that x covers, ascending:
+        the strict down-set of x less the strict down-sets of its members."""
+        below = self.below_mask
         out = []
-        for x, down in enumerate(downs):
-            rest = down - {x}
-            found = []
-            while rest:
-                z = max(rest, key=size.__getitem__)
-                found.append(z)
-                rest -= downs[z]
-            out.append(sorted(found))
+        for x, down in enumerate(below):
+            strict = down ^ 1 << x
+            inner = 0
+            for z in _bits(strict):
+                inner |= below[z] ^ 1 << z
+            out.append(list(_bits(strict ^ inner)))
         return out
 
     @cached_property
@@ -349,16 +344,12 @@ def from_covers(covers: list[list[int]]) -> SemilatticeTable:
                 if merged != below[x]:
                     below[x] = merged
                     changed = True
-    rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            common = below[x] & below[y]
-            glb = next((z for z in _bits(common) if common & ~below[z] == 0), None)
-            if glb is None:
-                raise MalformedTable(f"elements {x},{y} have no greatest lower bound")
-            row.append(glb)
-        rows.append(row)
+    # x^y has the down-set below[x] & below[y]; on a tie (cyclic covers) the smallest wins
+    element_of = {below[z]: z for z in reversed(range(n))}
+    rows = [[element_of.get(bx & by) for by in below] for bx in below]
+    for x, row in enumerate(rows):
+        if None in row:
+            raise MalformedTable(f"elements {x},{row.index(None)} have no greatest lower bound")
     return validate(rows)
 
 

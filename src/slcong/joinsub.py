@@ -37,14 +37,13 @@ INCLUSION_EXCLUSION_MAX_T = 20
 
 def _method(nbits: int, t: int) -> str | None:
     """The cheaper in-bounds route for t clauses on nbits bits: "incl-excl"
-    when its 2^t terms cost no more than t + 1 passes over the scan's blocks
-    of 2^BLOCK_BITS masks, 2^t <= (t + 1) * 2^max(0, nbits - BLOCK_BITS), or
-    the scan is out of bounds, else "subsets"; None when both are out of
+    when t <= max(1, nbits - BLOCK_BITS - 1), one clause short of where its
+    2^t terms were measured to cost as much as the block scan, or when the
+    scan is out of bounds; else "subsets"; None when both are out of
     bounds."""
     ie_ok = t <= INCLUSION_EXCLUSION_MAX_T
     scan_ok = nbits < BRUTE_FORCE_MAX_N
-    blocks = 1 << max(0, nbits - kernels.BLOCK_BITS)
-    if ie_ok and (not scan_ok or (1 << t) <= (t + 1) * blocks):
+    if ie_ok and (not scan_ok or t <= max(1, nbits - kernels.BLOCK_BITS - 1)):
         return "incl-excl"
     return "subsets" if scan_ok else None
 
@@ -176,11 +175,11 @@ class PartialJoinStructure:
         splitting its clauses.  A larger table takes "components" when the
         clauses split nontrivially, into two or more components or into one
         beside a free bit; each component then takes the cheaper of the two
-        routes below on its own bits.  Otherwise the whole table takes
-        inclusion-exclusion when its 2^t terms cost no more than t + 1 passes
-        over the scan's blocks or the scan is out of bounds, and the scan
-        otherwise.  Raises TooLarge, before any count starts, when the whole
-        table or one component is out of both bounds.
+        routes below on its own bits.  Otherwise the whole table, w = n - 1
+        bits, takes inclusion-exclusion when t <= max(1, w - BLOCK_BITS - 1)
+        or the scan is out of bounds, and the scan otherwise.  Raises
+        TooLarge, before any count starts, when the whole table or one
+        component is out of both bounds.
         """
         if self.n - 1 > kernels.BLOCK_BITS:
             parts, free = self.components

@@ -5,8 +5,9 @@ onto the interval between its meet and its join; quotienting by it always
 yields a tree.  A quasi-tree is a semilattice whose tree congruence has
 exactly one nonsingleton block, the nucleus; the quotient is the skeleton.
 The classifier assigns one of the extremal classes from structural
-predicates alone and cross-checks the congruence count computed by the
-counting route -- it never infers the class from the count.
+predicates alone, naming a nucleus by its canonical certificate, and
+cross-checks the congruence count computed by the counting route -- it
+never infers the class from the count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .congruences import (
     is_meet_congruence,
     quotient,
 )
-from .core import SemilatticeTable, are_isomorphic, named
+from .core import SemilatticeTable, _bits, canonical_key, named
 from .errors import (
     InternalInconsistency,
     NotConvexSubsemilattice,
@@ -39,20 +40,18 @@ class SemilatticeClass(enum.Enum):
     OTHER = "Other"
 
 
-# congruence-count coefficients c in k = c * 2^(n-6) for the named classes
-_COEFFICIENT = {
-    SemilatticeClass.NUCLEUS_B4: 28,
-    SemilatticeClass.NUCLEUS_N5: 26,
-    SemilatticeClass.NUCLEUS_F: 25,
-    SemilatticeClass.NUCLEUS_N6: 25,
+# Each nucleus class by the canonical certificate of its catalog nucleus,
+# with the coefficient c of its congruence count c * 2^(n-6).
+_NUCLEI = {
+    canonical_key(named(name)): (cls, c)
+    for name, cls, c in (
+        ("b4", SemilatticeClass.NUCLEUS_B4, 28),
+        ("n5", SemilatticeClass.NUCLEUS_N5, 26),
+        ("f", SemilatticeClass.NUCLEUS_F, 25),
+        ("n6", SemilatticeClass.NUCLEUS_N6, 25),
+    )
 }
-
-_NUCLEUS_NAMES = (
-    ("b4", SemilatticeClass.NUCLEUS_B4),
-    ("n5", SemilatticeClass.NUCLEUS_N5),
-    ("f", SemilatticeClass.NUCLEUS_F),
-    ("n6", SemilatticeClass.NUCLEUS_N6),
-)
+_NUCLEUS_MAX_N = 6  # the largest catalog nucleus; a larger one is Other unsearched
 
 
 def scaled_threshold(c: int, n: int) -> int:
@@ -125,20 +124,16 @@ def convex_block_congruence_check(
     if len(members) < 2 or not S.is_convex_subsemilattice(members):
         raise NotConvexSubsemilattice(str(members))
     meet = S.meet
-    u = members[0]
-    for e in members[1:]:
-        u = meet[u][e]
-    member_set = set(members)
-    maximal = [
-        v for v in members if all(w == v or not S.leq(v, w) for w in members)
-    ]
+    above = S.above_mask
+    mask = sum(1 << v for v in members)
+    u = next(v for v in members if above[v] & mask == mask)
+    maximal = [v for v in members if above[v] & mask == 1 << v]
     condition_b = all(
         meet[u][c] == meet[v][c]
-        for c in range(S.n)
-        if not S.leq(u, c)
+        for c in _bits((1 << S.n) - 1 & ~above[u])
         for v in maximal
     )
-    blocks = [tuple(members)] + [(x,) for x in range(S.n) if x not in member_set]
+    blocks = [tuple(members)] + [(x,) for x in range(S.n) if not mask >> x & 1]
     P = Partition.from_blocks(S.n, blocks)
     return condition_b, is_meet_congruence(S, P)
 
@@ -195,12 +190,12 @@ def classify(S: SemilatticeTable) -> ClassificationReport:
         except NotQuasiTree:
             pass
         else:
-            nuc_table = S.subsemilattice(nuc)[0]
-            for name, candidate in _NUCLEUS_NAMES:
-                if nuc_table.n == named(name).n and are_isomorphic(nuc_table, named(name)):
-                    cls = candidate
-                    predicted = scaled_threshold(_COEFFICIENT[candidate], S.n)
-                    break
+            found = len(nuc) <= _NUCLEUS_MAX_N and _NUCLEI.get(
+                canonical_key(S.subsemilattice(nuc)[0])
+            )
+            if found:
+                cls, c = found
+                predicted = scaled_threshold(c, S.n)
     if predicted is not None and predicted != k:
         raise InternalInconsistency(
             f"class {cls.value} predicts {predicted} congruences, counted {k}"

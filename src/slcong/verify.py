@@ -269,7 +269,7 @@ def claim_lattice_bound(max_n: int = SIZES["lattice_bound"][-1], levels=None) ->
             assert block == S.interval(low, high), (n, block)
         bound = 1 << (n - 1)
         assert len(lattice_cons) <= bound, (n, len(lattice_cons))
-        chain = all(S.leq(x, y) or S.leq(y, x) for x in range(n) for y in range(n))
+        chain = all(d | u == (1 << n) - 1 for d, u in zip(S.below_mask, S.above_mask))
         assert (len(lattice_cons) == bound) == chain, (n, len(lattice_cons))
         total += 1
     return f"n <= {max_n}: {total} lattices within the 2^(n-1) bound, equality exactly on chains"

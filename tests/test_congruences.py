@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import NAMED_POOL, classes
@@ -21,9 +23,15 @@ from slcong.joinsub import PartialJoinStructure
 from slcong.structure import tree_congruence
 
 
+def partial_join_table(S):
+    """The join table read off ``partial_join`` on S+, with 0 as the identity."""
+    rng = range(S.n)
+    return tuple(tuple(S.partial_join(x, y) if x and y else x or y for y in rng) for x in rng)
+
+
 def lattice_congruences_oracle(S):
     """Bell scan filtered by compatibility with both operations."""
-    join = join_table(S)
+    join = partial_join_table(S)
     return [
         ids
         for ids in _set_partition_ids(S.n)
@@ -277,6 +285,19 @@ def test_lattice_congruences_match_oracle():
         S = named(name)
         impl = [P.block_id for P in all_lattice_congruences(S)]
         assert sorted(impl) == sorted(lattice_congruences_oracle(S))
+
+
+def test_join_table_matches_partial_join_on_small_lattices():
+    rng = random.Random(6)
+    lattices = 0
+    for n in range(1, 9):
+        for S in filter(is_lattice, classes(n)):
+            perm = list(range(1, n))
+            rng.shuffle(perm)
+            for T in (S, S.relabel([0] + perm)):
+                assert join_table(T) == partial_join_table(T), T.meet
+            lattices += 1
+    assert lattices == 1 + 1 + 1 + 2 + 5 + 15 + 53 + 222  # OEIS A006966
 
 
 def test_lattice_congruences_need_top():

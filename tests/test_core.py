@@ -507,12 +507,23 @@ def test_named_grid_is_product():
         ([[], [True]], "covers[1][0] is not an element index in 0..1"),
         ([[], [0], [0, 1.0]], "covers[2][1] is not an element index in 0..2"),
         ([[], 0], "covers[1] is not a list"),
+        # well-formed entries, but two maximal common lower bounds, or a cycle
+        ([[], [0], [0], [1, 2], [1, 2]], "elements 3,4 have no greatest lower bound"),
+        ([[], [2], [1]], "elements 0,1 have no greatest lower bound"),
     ],
 )
 def test_from_covers_rejects_bad_entries_by_position(covers, where):
     with pytest.raises(MalformedTable) as info:
         from_covers(covers)
     assert str(info.value) == where
+
+
+def test_from_covers_reads_a_shared_down_set_as_its_smallest_element():
+    # 1 and 2 cover each other above 0, so both have the down-set {0, 1, 2};
+    # it stands for 1, the meet of 2 with itself, and 2 fails idempotence
+    with pytest.raises(NotIdempotent) as info:
+        from_covers([[], [0, 2], [1]])
+    assert str(info.value) == "meet(2,2) != 2"
 
 
 def test_named_unknown():

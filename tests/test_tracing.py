@@ -7,9 +7,12 @@ function breaks ``perfbench/run.py --trace 1``; this test notices it first.
 import importlib.util
 import os
 
+import pytest
+
 import slcong.cli
-from slcong import congruences, joinsub, verify
-from slcong.core import named
+from conftest import NAMED_POOL
+from slcong import congruences, joinsub, structure, verify
+from slcong.core import SemilatticeTable, extend_below, named
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
@@ -120,3 +123,30 @@ def test_tracer_sees_the_joins_of_congruence_enumeration():
     assert len(cons) == 7
     assert metrics["kernels.congruence_closure.calls"][0] == 13
     assert metrics["congruences.closures_per_congruence"][0] == 13 / 7
+
+
+def test_the_fast_path_leaves_the_oracles_tools_alone(capsys, monkeypatch):
+    # classify names nuclei by canonical certificate, not by the
+    # isomorphism search that checks its results
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        for name in NAMED_POOL[1:]:  # chain_1 is too small to classify
+            structure.classify(named(name))
+        assert structure.classify(extend_below(named("n5"), 7)).predicted_count == 1664
+        assert slcong.cli.main(["spectrum", "7", "--top", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["core.are_isomorphic.calls"][0] == 0
+    assert metrics["core.canonical_key.calls"][0] >= 1
+    # joins are read off the up-sets, not from the oracle's partial_join
+    monkeypatch.setattr(SemilatticeTable, "partial_join", _refuse)
+    grid = named("grid2x3")
+    assert congruences.join_table(grid)[1][3] == 4  # (0, 1) v (1, 0) = (1, 1)
+    assert len(congruences.all_lattice_congruences(grid)) == 8  # 2 x 4, chain by chain
+
+
+def _refuse(*args):
+    pytest.fail("partial_join is an oracle's tool")
