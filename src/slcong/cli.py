@@ -133,7 +133,7 @@ def cmd_spectrum(args) -> int:
         raise TooLarge(f"n must be at least 2, got {args.n}")
     if args.top is not None and args.top < 1:
         raise TooLarge(f"top count must be at least 1, got {args.top}")
-    sp = enumeration.spectrum(args.n, max_n=args.max_n)
+    sp = enumeration.spectrum(args.n, max_n=args.max_n, top=args.top, jobs=args.jobs)
     top = None
     if args.top is not None:
         top = enumeration.top_values(sp, args.top)
@@ -180,7 +180,7 @@ def _enum_filter(name: str):
 
 def cmd_enumerate(args) -> int:
     keep = _enum_filter(args.filter) if args.filter else None
-    tables = enumeration.enumerate_semilattices(args.n, max_n=args.max_n)
+    tables = enumeration.enumerate_semilattices(args.n, max_n=args.max_n, jobs=args.jobs)
     if keep:
         tables = [S for S in tables if keep(S)]
     if args.out:
@@ -244,6 +244,17 @@ def _add_max_n(p):
     )
 
 
+def _add_jobs(p):
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="J",
+        help="processes that share the walk, at most one per subtree (default: the"
+        " usable cores); the output does not depend on it",
+    )
+
+
 def _add_validate(sub):
     p = sub.add_parser("validate", help="check the semilattice axioms on a table")
     p.add_argument("table", help="path, inline JSON, '-' for stdin, or a catalog name")
@@ -280,6 +291,7 @@ def _add_spectrum(sub):
     p.add_argument("--witnesses", action="store_true")
     p.add_argument("--top", type=int, default=None, metavar="M")
     _add_max_n(p)
+    _add_jobs(p)
     _add_format(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -294,6 +306,7 @@ def _add_enumerate(sub):
     )
     p.add_argument("--out", default=None, help="write one JSON file per table")
     _add_max_n(p)
+    _add_jobs(p)
     p.set_defaults(func=cmd_enumerate)
 
 

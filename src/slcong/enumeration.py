@@ -16,8 +16,19 @@ and the child is expanded at once, in the labelling it was built in
 (acceptance does not depend on it), with those generators splitting its
 ideals.  A child whose new element lacks the largest (down-set size, up-set
 size) or refinement color is rejected before any search.  The walk yields
-each class as it is found and stores no level; ``enumerate_semilattices(n)``
-walks to n and sorts the n-element classes.
+each class as it is found and stores no level.
+
+Since each class has one parent, the walk splits by subtree into shares:
+the classes with SPLIT_N elements are its roots, and share i of ``jobs``
+walks the subtrees of roots i, i + jobs, ...  ``spectrum`` and
+``enumerate_semilattices`` run each share in its own process
+(``_in_shares``; share 0 in the caller's), reduce it there to a summary,
+and merge the summaries; the merge checks that no two shares reported the
+same class.  ``enumerate_semilattices(n)`` sorts the n-element classes'
+meet keys, and ``spectrum`` keeps per-value counts, the least witnesses
+and the classes of the top values, never every class.  The split size was
+measured: at SPLIT_N = 5 two shares of ``spectrum(9)`` hold 3,073 and
+2,921 classes and take about the same time; at 6 they hold 2,771 and 3,223.
 
 Every table the walk makes starts with its down-set and up-set masks: a
 child's come from its parent's and the ideal (``_extend``), a canonical
@@ -31,9 +42,11 @@ partitioning.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
+from itertools import count as counter
 
 from . import kernels
 from .core import (
@@ -53,6 +66,9 @@ from .structure import SemilatticeClass, classify
 DEFAULT_MAX_N = 9
 ORACLE_MAX_N = 7
 WITNESS_CAP = 64
+# The walk splits into shares below the classes of this size, its roots.
+SPLIT_N = 5
+SPLIT_ROOTS = 15  # the classes with SPLIT_N elements, OEIS A006966
 
 _ONE = SemilatticeTable(((0,),))
 
@@ -155,12 +171,30 @@ def _accepted_canonical(child: SemilatticeTable) -> tuple[SemilatticeTable, list
     return K, generators
 
 
-def walk(max_n: int) -> Iterator[SemilatticeTable]:
-    """Every canonical class with 1..max_n elements, once each, depth-first:
-    a kept child comes before its own children.  The duplicate check keeps
-    each meet table as bytes, a tenth of the tuples' size (entries stay
-    below 256 in any walk that can finish)."""
+def _owns(i: int, share: int, jobs: int) -> bool:
+    """Whether ``share`` of ``jobs`` walks the subtree of the i-th class with
+    SPLIT_N elements, counted in walk order from 0."""
+    return i % jobs == share
+
+
+def walk(
+    max_n: int, share: int = 0, jobs: int = 1, keys: set[bytes] | None = None
+) -> Iterator[SemilatticeTable]:
+    """Every canonical class with 1..max_n elements that one share of the
+    walk reports, once each, depth-first: a kept child comes before its own
+    children.  ``walk(max_n)`` is the whole walk, share 0 of 1.
+
+    Canonical augmentation gives each class one parent, so the subtrees
+    below the classes with SPLIT_N elements (the roots) hold disjoint sets
+    of classes.  Every share walks the classes below SPLIT_N, which only
+    share 0 reports, and the subtree of each root it owns (``_owns``).
+
+    The duplicate check keeps each meet table as bytes, a tenth of the
+    tuples' size (entries stay below 256 in any walk that can finish).
+    ``keys``, when given, receives the key of every reported class with at
+    least SPLIT_N elements, so that shares can be checked for overlap."""
     seen: set[bytes] = set()
+    roots = counter()
 
     def expand(parent: SemilatticeTable, generators: list[list[int]]) -> Iterator[SemilatticeTable]:
         for mask in _orbit_representatives(parent, generators):
@@ -169,27 +203,135 @@ def walk(max_n: int) -> Iterator[SemilatticeTable]:
             if kept is None:
                 continue
             K, child_generators = kept
-            key = bytes(chain.from_iterable(K.meet))
+            if K.n == SPLIT_N and not _owns(next(roots), share, jobs):
+                continue
+            key = _key(K)
             if key in seen:
                 raise InternalInconsistency("canonical augmentation produced a duplicate")
             seen.add(key)
-            yield K
+            if K.n >= SPLIT_N and keys is not None:
+                keys.add(key)
+            if share == 0 or K.n >= SPLIT_N:
+                yield K
             if child.n < max_n:
                 yield from expand(child, child_generators)
 
-    yield _ONE
+    if share == 0:
+        yield _ONE
     if max_n > 1:
         yield from expand(_ONE, [])
 
 
-def enumerate_semilattices(n: int, max_n: int | None = None) -> list[SemilatticeTable]:
-    """All n-element meet semilattices up to isomorphism, canonical and sorted."""
+def _key(S: SemilatticeTable) -> bytes:
+    """The meet table as bytes, row by row; keys of equal size sort as
+    their tables do by ``meet``."""
+    return bytes(chain.from_iterable(S.meet))
+
+
+def _table(key: bytes, n: int) -> SemilatticeTable:
+    """The table whose ``_key`` is ``key``."""
+    return SemilatticeTable(tuple(tuple(key[i : i + n]) for i in range(0, n * n, n)))
+
+
+def _shares(n: int, jobs: int | None) -> int:
+    """How many shares walk to n: ``jobs``, by default the usable cores, at
+    most one per root, and one when n <= SPLIT_N, since every share would
+    walk all classes of that size."""
+    if jobs is not None and jobs < 1:
+        raise TooLarge(f"jobs must be at least 1, got {jobs}")
+    if n <= SPLIT_N:
+        return 1
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, SPLIT_ROOTS)
+
+
+def _worker(send, task, args: tuple, share: int, jobs: int) -> None:
+    """Run one share in a worker process and send back (True, its result) or
+    (False, the exception it raised).  The parent stops workers on Ctrl-C."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        result = (True, task(*args, share, jobs))
+    except Exception as exc:
+        result = (False, exc)
+    send.send(result)
+    send.close()
+
+
+def _in_shares(task, args: tuple, jobs: int) -> list:
+    """``task(*args, share, jobs)`` for every share, in share order.
+
+    Share 0 runs in this process and each other share in one of jobs - 1
+    worker processes.  A worker is given only ints and a module-level
+    function, so any start method works.  ``fork`` is taken where the
+    platform has it and this process runs no other thread, since a forked
+    worker needs no fresh interpreter and imports; otherwise ``spawn``.  An
+    exception raised in a share is raised here, and every worker has ended
+    when this returns or raises."""
+    if jobs == 1:
+        return [task(*args, 0, 1)]
+    import multiprocessing  # about 18 ms, so only when a worker starts
+    import threading
+
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    workers = []
+    try:
+        for share in range(1, jobs):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_worker, args=(send, task, args, share, jobs), daemon=True
+            )
+            process.start()
+            send.close()
+            workers.append((process, receive))
+        results = [task(*args, 0, jobs)]
+        for share, (process, receive) in enumerate(workers, 1):
+            try:
+                ok, result = receive.recv()
+            except EOFError:
+                raise InternalInconsistency(
+                    f"share {share} of {jobs} ended without a result"
+                ) from None
+            if not ok:
+                raise result
+            results.append(result)
+        return results
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receive in workers:
+            process.join()
+            receive.close()
+
+
+def _check_bound(n: int, max_n: int | None) -> None:
     if n < 1:
         raise TooLarge("n must be at least 1")
     bound = DEFAULT_MAX_N if max_n is None else max_n
     if n > bound:
         raise TooLarge(f"n={n} exceeds enumeration bound {bound}")
-    return sorted((S for S in walk(n) if S.n == n), key=lambda S: S.meet)
+
+
+def _level_keys(n: int, share: int, jobs: int) -> list[bytes]:
+    """The keys of the n-element classes one share of the walk reports."""
+    return [_key(S) for S in walk(n, share, jobs) if S.n == n]
+
+
+def enumerate_semilattices(
+    n: int, max_n: int | None = None, jobs: int | None = None
+) -> list[SemilatticeTable]:
+    """All n-element meet semilattices up to isomorphism, canonical and
+    sorted, from the meet keys of every share of the walk."""
+    _check_bound(n, max_n)
+    keys = sorted(chain.from_iterable(_in_shares(_level_keys, (n,), _shares(n, jobs))))
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        raise InternalInconsistency("two shares of the walk reported the same class")
+    return [_table(key, n) for key in keys]
 
 
 def _extend_checked(S: SemilatticeTable, mask: int) -> SemilatticeTable | None:
@@ -257,25 +399,21 @@ def enumerate_semilattices_bruteforce(n: int) -> list[SemilatticeTable]:
 class Spectrum:
     """The set NCsl(n) of congruence-lattice sizes over all n-element semilattices.
 
-    ``by_value`` maps each value to every canonical table attaining it, in
-    enumeration order; ``witnesses`` reports at most WITNESS_CAP of them per
-    value.
+    ``witness_totals`` maps each value to the number of classes attaining
+    it, and ``witnesses`` to the WITNESS_CAP least of their canonical tables
+    by meet, ascending.  ``classes`` maps each of the largest values asked
+    for (``spectrum``'s ``top``) to the classes (``structure.classify``) of
+    every table attaining it.
     """
 
     n: int
-    by_value: dict
+    witness_totals: dict
+    witnesses: dict
+    classes: dict
 
     @property
     def values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_value))
-
-    @property
-    def witness_totals(self) -> dict:
-        return {k: len(tables) for k, tables in self.by_value.items()}
-
-    @property
-    def witnesses(self) -> dict:
-        return {k: tables[:WITNESS_CAP] for k, tables in self.by_value.items()}
+        return tuple(sorted(self.witness_totals))
 
     def to_obj(self) -> dict:
         return {
@@ -289,26 +427,95 @@ class Spectrum:
         }
 
 
-def spectrum(n: int, max_n: int | None = None) -> Spectrum:
-    """Exact congruence-count spectrum, grouping the canonical tables by value."""
-    by_value: dict[int, list[SemilatticeTable]] = {}
-    for S in enumerate_semilattices(n, max_n=max_n):
-        by_value.setdefault(congruence_count(S), []).append(S)
-    return Spectrum(n, {k: tuple(v) for k, v in by_value.items()})
+def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
+    """One share's summary of its n-element classes, streamed from its walk.
+
+    Returns (totals, least, keys, classes): the number of classes of each
+    value, the meet keys of each value's WITNESS_CAP least tables, the keys
+    of every class with at least SPLIT_N elements the share reports, and,
+    when ``top`` is given, the classes (``structure.classify``) of every
+    table of the share's own ``top`` largest values.
+
+    Those are enough for the global top M = ``top``: if v is among the M
+    largest values overall, fewer than M values exceed v overall, so fewer
+    than M of a share's values exceed v, and every share that attains v has
+    it among its own M largest.  Only the tables of the current M largest
+    values are held; a value dropped from them never returns, since the M
+    values above it stay.
+    """
+    totals: dict[int, int] = {}
+    least: dict[int, list[bytes]] = {}
+    keys: set[bytes] = set()
+    held: dict[int, list[SemilatticeTable]] = {}
+    for S in walk(n, share, jobs, keys):
+        if S.n != n:
+            continue
+        value = congruence_count(S)
+        totals[value] = totals.get(value, 0) + 1
+        witnesses = least.setdefault(value, [])
+        witnesses.append(_key(S))
+        if len(witnesses) > 2 * WITNESS_CAP:
+            witnesses.sort()
+            del witnesses[WITNESS_CAP:]
+        if top is not None:
+            held.setdefault(value, []).append(S)
+            if len(held) > top:
+                del held[min(held)]
+    least = {value: sorted(w)[:WITNESS_CAP] for value, w in least.items()}
+    classes = {
+        value: {classify(S).semilattice_class for S in tables} for value, tables in held.items()
+    }
+    return totals, least, keys, classes
 
 
-def top_values(sp: Spectrum, count: int) -> list[tuple[int, set[SemilatticeClass]]]:
+def spectrum(
+    n: int, max_n: int | None = None, top: int | None = None, jobs: int | None = None
+) -> Spectrum:
+    """Exact congruence-count spectrum, merged from the summaries of the
+    shares of one walk (``_spectrum_share``), with the classes of the
+    ``top`` largest values when ``top`` is given.  Only the summaries are
+    held here, never every class."""
+    _check_bound(n, max_n)
+    totals: dict[int, int] = {}
+    least: dict[int, list[bytes]] = {}
+    keys: set[bytes] = set()
+    classes: dict[int, set[SemilatticeClass]] = {}
+    for share_totals, share_least, share_keys, share_classes in _in_shares(
+        _spectrum_share, (n, top), _shares(n, jobs)
+    ):
+        if not keys.isdisjoint(share_keys):
+            raise InternalInconsistency("two shares of the walk reported the same class")
+        keys |= share_keys
+        for value, k in share_totals.items():
+            totals[value] = totals.get(value, 0) + k
+        for value, witnesses in share_least.items():
+            least.setdefault(value, []).extend(witnesses)
+        for value, found in share_classes.items():
+            classes.setdefault(value, set()).update(found)
+    largest = sorted(totals, reverse=True)[: top or 0]
+    return Spectrum(
+        n,
+        totals,
+        {value: tuple(_table(key, n) for key in sorted(w)[:WITNESS_CAP]) for value, w in least.items()},
+        {value: frozenset(classes[value]) for value in largest},
+    )
+
+
+def top_values(sp: Spectrum, count: int) -> list[tuple[int, frozenset[SemilatticeClass]]]:
     """The ``count`` largest spectrum values with the classes of their witnesses.
 
     Classes are collected over every attaining semilattice, not only the
-    reported witnesses.  ``count`` must be at least 1; the CLI checks it
-    before the spectrum is computed.
+    reported witnesses, by ``spectrum(n, top=M)`` with M >= ``count``.
+    ``count`` must be at least 1; the CLI checks it before the spectrum is
+    computed.
     """
     values = sp.values[::-1]
     if len(values) < count:
         noun = "value" if len(values) == 1 else "values"
         raise NotEnoughValues(f"NCsl({sp.n}) has {len(values)} {noun}, fewer than the {count} asked for")
-    return [
-        (value, {classify(S).semilattice_class for S in sp.by_value[value]})
-        for value in values[:count]
-    ]
+    if len(sp.classes) < count:
+        raise ValueError(
+            f"NCsl({sp.n}) holds the classes of its {len(sp.classes)} largest values,"
+            f" fewer than the {count} asked for"
+        )
+    return [(value, sp.classes[value]) for value in values[:count]]

@@ -361,7 +361,7 @@ def test_spectrum_json_shape():
 
 
 def test_top_values_n6():
-    top = top_values(spectrum(6), 4)
+    top = top_values(spectrum(6, top=4), 4)
     assert [(v, sorted(c.value for c in classes)) for v, classes in top] == [
         (32, ["Tree"]),
         (28, ["NucleusB4"]),
@@ -371,7 +371,7 @@ def test_top_values_n6():
 
 
 def test_top_values_n8():
-    top = top_values(spectrum(8), 4)
+    top = top_values(spectrum(8, top=4), 4)
     assert [(v, sorted(c.value for c in classes)) for v, classes in top] == [
         (128, ["Tree"]),
         (112, ["NucleusB4"]),
@@ -381,7 +381,7 @@ def test_top_values_n8():
 
 
 def test_top_values_n5():
-    top = top_values(spectrum(5), 4)
+    top = top_values(spectrum(5, top=4), 4)
     assert [(v, {c.value for c in classes}) for v, classes in top] == [
         (16, {"Tree"}),
         (14, {"NucleusB4"}),
