@@ -4,12 +4,12 @@ Elements are the indices 0..n-1 and index 0 is always the least element;
 ``validate`` rejects tables that violate this instead of relabeling.  The
 derived order is x <= y iff meet(x, y) == x.  Subsets of the carrier are
 bitmasks throughout (bit i = element i), and meets, joins and covers are
-read off the down-set and up-set masks (covers off the rows of a table that
-carries none).  The quasi-tree construction kit (``attach_above``,
-``extend_below``) and the catalog, chains aside, build their tables from
-lower covers through ``from_covers``.  Classes are named by canonical
-certificate; ``partial_join``, the isomorphism search and the glb scan of
-the enumeration oracle serve the oracles only.
+read off the down-set and up-set masks, covers off the rows.  The
+quasi-tree construction kit (``attach_above``, ``extend_below``) and the
+catalog, chains aside, build their tables from lower covers through
+``from_covers``.  Classes are named by canonical certificate;
+``partial_join``, the isomorphism search and the glb scan of the
+enumeration oracle serve the oracles only.
 """
 
 from __future__ import annotations
@@ -180,35 +180,26 @@ class SemilatticeTable:
     def lower_covers(self) -> list[list[int]]:
         """The list whose entry x lists the elements that x covers, ascending.
 
-        A table that carries its down-set masks (the walk's tables, validated
-        ones) has them read: the covers of x are its strict down-set less the
-        strict down-sets of its members.  On a table without them, such as a
-        quotient, building the masks costs more than a search over the rows:
-        row x of the meet table holds exactly the down-set of x, and an
-        element with the largest down-set in a set is maximal there, so
-        taking it and dropping its down-set, until nothing is left, picks out
-        the maximal elements of the strict down-set of x.
+        Read off the rows, so a table without its down-set masks, such as a
+        quotient, never builds them here: row x of the meet table holds
+        exactly the down-set of x, and an element with the largest down-set
+        in a set is maximal there, so taking it and dropping its down-set,
+        until nothing is left, picks out the maximal elements of the strict
+        down-set of x.
         """
-        out = []
-        if "below_mask" in self.__dict__:
-            below = self.below_mask
-            for x, down in enumerate(below):
-                strict = down ^ 1 << x
-                inner = 0
-                for z in _bits(strict):
-                    inner |= below[z] ^ 1 << z
-                out.append(list(_bits(strict ^ inner)))
-            return out
         downs = [set(row) for row in self.meet]
-        size = [len(down) for down in downs]
+        size = list(map(len, downs)).__getitem__
+        out = []
         for x, down in enumerate(downs):
-            rest = down - {x}
+            rest = down.copy()
+            rest.discard(x)
             found = []
             while rest:
-                z = max(rest, key=size.__getitem__)
+                z = max(rest, key=size)
                 found.append(z)
                 rest -= downs[z]
-            out.append(sorted(found))
+            found.sort()
+            out.append(found)
         return out
 
     @cached_property

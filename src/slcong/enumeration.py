@@ -43,6 +43,7 @@ partitioning.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -177,9 +178,7 @@ def _owns(i: int, share: int, jobs: int) -> bool:
     return i % jobs == share
 
 
-def walk(
-    max_n: int, share: int = 0, jobs: int = 1, keys: set[bytes] | None = None
-) -> Iterator[SemilatticeTable]:
+def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[SemilatticeTable]:
     """Every canonical class with 1..max_n elements that one share of the
     walk reports, once each, depth-first: a kept child comes before its own
     children.  ``walk(max_n)`` is the whole walk, share 0 of 1.
@@ -190,9 +189,7 @@ def walk(
     share 0 reports, and the subtree of each root it owns (``_owns``).
 
     The duplicate check keeps each meet table as bytes, a tenth of the
-    tuples' size (entries stay below 256 in any walk that can finish).
-    ``keys``, when given, receives the key of every reported class with at
-    least SPLIT_N elements, so that shares can be checked for overlap."""
+    tuples' size (entries stay below 256 in any walk that can finish)."""
     seen: set[bytes] = set()
     roots = counter()
 
@@ -209,8 +206,6 @@ def walk(
             if key in seen:
                 raise InternalInconsistency("canonical augmentation produced a duplicate")
             seen.add(key)
-            if K.n >= SPLIT_N and keys is not None:
-                keys.add(key)
             if share == 0 or K.n >= SPLIT_N:
                 yield K
             if child.n < max_n:
@@ -265,9 +260,10 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
 
     Share 0 runs in this process and each other share in one of jobs - 1
     worker processes.  A worker is given only ints and a module-level
-    function, so any start method works.  ``fork`` is taken where the
-    platform has it and this process runs no other thread, since a forked
-    worker needs no fresh interpreter and imports; otherwise ``spawn``.  An
+    function, so any start method works.  ``fork`` is taken on Linux when
+    this process runs no other thread, since a forked worker needs no fresh
+    interpreter and imports; otherwise ``spawn``, which is also macOS's
+    default, forking being unsafe there with the system frameworks.  An
     exception raised in a share is raised here, and every worker has ended
     when this returns or raises."""
     if jobs == 1:
@@ -275,7 +271,7 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
     import multiprocessing  # about 18 ms, so only when a worker starts
     import threading
 
-    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    fork = sys.platform.startswith("linux") and threading.active_count() == 1
     context = multiprocessing.get_context("fork" if fork else "spawn")
     workers = []
     try:
@@ -447,13 +443,16 @@ def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
     least: dict[int, list[bytes]] = {}
     keys: set[bytes] = set()
     held: dict[int, list[SemilatticeTable]] = {}
-    for S in walk(n, share, jobs, keys):
+    for S in walk(n, share, jobs):
+        key = _key(S)
+        if S.n >= SPLIT_N:
+            keys.add(key)
         if S.n != n:
             continue
         value = congruence_count(S)
         totals[value] = totals.get(value, 0) + 1
         witnesses = least.setdefault(value, [])
-        witnesses.append(_key(S))
+        witnesses.append(key)
         if len(witnesses) > 2 * WITNESS_CAP:
             witnesses.sort()
             del witnesses[WITNESS_CAP:]

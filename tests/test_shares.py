@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import multiprocessing.process
 import os
+import sys
 import threading
 
 import pytest
@@ -58,13 +59,9 @@ def test_shares_partition_the_walk():
     assert sorted(whole) == sorted(meet for share in shares for meet in share)
     assert all(len(meet) >= SPLIT_N for share in shares[1:] for meet in share)
     assert all(shares)
-
-
-def test_a_share_collects_the_keys_it_reports():
-    keys = set()
-    reported = [S for S in walk(7, 1, 2, keys)]
-    assert keys == {enumeration._key(S) for S in reported}
-    assert len(keys) == len(reported) > 0
+    # a share's summary keeps the key of each class it reports from the split up
+    keys = enumeration._spectrum_share(8, None, 1, 3)[2]
+    assert keys == {enumeration._key(S) for S in walk(8, 1, 3)}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -121,7 +118,8 @@ def test_cli_enumerate_output_does_not_depend_on_jobs(starts, capsys):
     assert len(one.splitlines()) == 222
 
 
-def test_workers_fork_unless_another_thread_runs(starts):
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is taken on Linux only")
+def test_workers_fork_on_linux_unless_another_thread_runs(starts):
     one = spectrum(7, top=4, jobs=1)
     assert spectrum(7, top=4, jobs=2) == one
     stop = threading.Event()
@@ -134,6 +132,12 @@ def test_workers_fork_unless_another_thread_runs(starts):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert [type(p).__name__ for p in starts] == ["ForkProcess", "SpawnProcess"]
+
+
+def test_workers_spawn_off_linux(starts, monkeypatch):
+    monkeypatch.setattr(enumeration.sys, "platform", "darwin")
+    assert spectrum(7, top=4, jobs=2) == spectrum(7, top=4, jobs=1)
+    assert [type(p).__name__ for p in starts] == ["SpawnProcess"]
 
 
 def test_no_worker_starts_for_one_job_or_below_the_split(starts, capsys):
