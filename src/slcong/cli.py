@@ -131,8 +131,6 @@ def cmd_classify(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.n < 2:
         raise TooLarge(f"n must be at least 2, got {args.n}")
-    if args.top is not None and args.top < 1:
-        raise TooLarge(f"top count must be at least 1, got {args.top}")
     sp = enumeration.spectrum(args.n, max_n=args.max_n, top=args.top, jobs=args.jobs)
     top = None
     if args.top is not None:

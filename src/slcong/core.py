@@ -84,7 +84,7 @@ class SemilatticeTable:
     def below_mask(self) -> tuple[int, ...]:
         """below_mask[x] = bitmask of {z : z <= x}, read off row x.
 
-        Tables of the enumeration walk are built with it (``_with_masks``).
+        The walk builds each child with it (``_with_masks``).
         A child's new meets are found from it: a join-closed ideal I meets
         ↓x in a principal down-set, since I ∩ ↓x holds 0 and the join of any
         two of its elements (bounded by x, kept by I), so it is ↓ of its
@@ -557,18 +557,10 @@ def _canonical_search(S: SemilatticeTable, colors: list[int] | None = None):
         ]
         cands.sort()
         done: list[int] = []
-        orbit = 0  # bitmask: the orbits of done under stab
-        stab: list[list[int]] = []
-        checked = 0  # len(generators) when stab was last filtered
         for row, e in cands:
-            if done:
-                if len(generators) > checked:
-                    checked = len(generators)
-                    stab = [g for g in generators if all(g[x] == x for x in prefix)]
-                    orbit = _orbit(done, stab)
-                elif not orbit >> done[-1] & 1:
-                    orbit |= _orbit(done[-1:], stab)
-                if orbit >> e & 1:
+            if done and generators:
+                stab = [g for g in generators if all(g[x] == x for x in prefix)]
+                if _orbit(done, stab) >> e & 1:
                     continue
             if best_rows is not None and row > best_rows[p] and tuple(rows[:p]) == best_rows[:p]:
                 break
@@ -598,24 +590,14 @@ def canonical_with_perm(
     generators of Aut(S), each a list g with g[x] the image of x (none when
     the group is trivial), all from one search.
 
-    ``colors`` is ``_refine(S)`` when the caller already has it.  The
-    form is built with its masks, read off the certificate: positions follow
-    a linear extension, so q <= p in the order implies q <= p as positions,
-    and q is below p iff rows[p][q] == q.
+    ``colors`` is ``_refine(S)`` when the caller already has it.
     """
     rows, perm, generators = _canonical_search(S, colors)
     n = S.n
-    below = [1 << p for p in range(n)]
-    above = below.copy()
-    for p, row in enumerate(rows):
-        for q, m in enumerate(row):
-            if m == q:
-                below[p] |= 1 << q
-                above[q] |= 1 << p
     meet = tuple(
         row + (p,) + tuple([rows[q][p] for q in range(p + 1, n)]) for p, row in enumerate(rows)
     )
-    return _with_masks(meet, tuple(below), tuple(above)), perm, generators
+    return SemilatticeTable(meet), perm, generators
 
 
 def canonical_form(S: SemilatticeTable) -> SemilatticeTable:

@@ -30,10 +30,12 @@ and the classes of the top values, never every class.  The split size was
 measured: at SPLIT_N = 5 two shares of ``spectrum(9)`` hold 3,073 and
 2,921 classes and take about the same time; at 6 they hold 2,771 and 3,223.
 
-Every table the walk makes starts with its down-set and up-set masks: a
-child's come from its parent's and the ideal (``_extend``), a canonical
-form's from its certificate (``canonical_with_perm``), so neither is
-rebuilt from the meet table.
+Every child the walk makes starts with its down-set and up-set masks,
+taken from its parent's and the ideal (``_extend``), since the size
+pre-test, ``_refine`` and its own expansion read them at once.  The walk
+expands the child, not its canonical form, so a canonical form builds its
+masks from the meet table only when a reader (counting, ``classify``)
+asks for them.
 
 ``enumerate_semilattices_bruteforce`` is the independent oracle: plain
 backtracking over labeled order extensions followed by isomorphism
@@ -305,6 +307,11 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
             receive.close()
 
 
+def _check_top(top: int) -> None:
+    if top < 1:
+        raise TooLarge(f"top count must be at least 1, got {top}")
+
+
 def _check_bound(n: int, max_n: int | None) -> None:
     if n < 1:
         raise TooLarge("n must be at least 1")
@@ -474,6 +481,8 @@ def spectrum(
     shares of one walk (``_spectrum_share``), with the classes of the
     ``top`` largest values when ``top`` is given.  Only the summaries are
     held here, never every class."""
+    if top is not None:
+        _check_top(top)
     _check_bound(n, max_n)
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
@@ -505,9 +514,10 @@ def top_values(sp: Spectrum, count: int) -> list[tuple[int, frozenset[Semilattic
 
     Classes are collected over every attaining semilattice, not only the
     reported witnesses, by ``spectrum(n, top=M)`` with M >= ``count``.
-    ``count`` must be at least 1; the CLI checks it before the spectrum is
-    computed.
+    A ``count`` below 1 raises ``TooLarge``, as a ``top`` below 1 does in
+    ``spectrum`` before it walks.
     """
+    _check_top(count)
     values = sp.values[::-1]
     if len(values) < count:
         noun = "value" if len(values) == 1 else "values"

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 ``InvalidTable`` subclasses identify which semilattice axiom a raw meet
-table violates and carry the first offending elements; everything else
-signals a broken precondition of an individual operation.
+table violates and carry the first offending elements.
+``InternalInconsistency`` and its subclass ``DualityViolation`` signal a
+bug in the package; everything else signals a broken precondition of an
+individual operation.
 """
 
 
@@ -94,9 +96,9 @@ class NotEnoughValues(SemilatticeError):
     pass
 
 
-class DualityViolation(SemilatticeError):
-    pass
-
-
 class InternalInconsistency(SemilatticeError):
     """Two routes inside the package disagreed: a bug, never bad input."""
+
+
+class DualityViolation(InternalInconsistency):
+    """``verify_duality`` found the dual correspondence broken."""

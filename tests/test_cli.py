@@ -8,6 +8,7 @@ from slcong import enumeration, structure, verify
 from slcong.cli import main
 from conftest import three_b4
 from slcong.core import extend_below, named
+from slcong.errors import DualityViolation
 
 
 def write_table(tmp_path, name, table=None):
@@ -200,6 +201,16 @@ def test_classify_internal_inconsistency_exits_one(monkeypatch, capsys):
     assert "predicts 13 congruences, counted 12" in err
 
 
+def test_duality_violation_exits_one(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise DualityViolation("dual of 1 is not a congruence")
+
+    monkeypatch.setattr(enumeration, "spectrum", broken)
+    code, out, err = run(capsys, "spectrum", "5")
+    assert code == 1 and out == ""
+    assert err == "internal inconsistency: dual of 1 is not a congruence\n"
+
+
 def test_classify_chain9(capsys):
     code, out, _ = run(capsys, "classify", "chain_9")
     assert code == 0 and "Tree" in out and "256" in out
@@ -247,11 +258,19 @@ def test_spectrum_top_below_one_exits_two(capsys, top):
 
 
 def test_spectrum_top_checked_before_spectrum(capsys, monkeypatch):
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("spectrum computed before --top was checked")
+    # enumeration.spectrum checks --top before it walks
+    def no_walk(*args, **kwargs):
+        raise AssertionError("spectrum walked before --top was checked")
 
-    monkeypatch.setattr(enumeration, "spectrum", no_spectrum)
+    monkeypatch.setattr(enumeration, "_in_shares", no_walk)
     code, out, err = run(capsys, "spectrum", "9", "--top", "0")
+    assert code == 2 and out == ""
+    assert err == "error: top count must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("n", ["3", "10"])
+def test_spectrum_top_checked_before_the_enumeration_bound(capsys, n):
+    code, out, err = run(capsys, "spectrum", n, "--top", "0")
     assert code == 2 and out == ""
     assert err == "error: top count must be at least 1, got 0\n"
 

@@ -84,6 +84,19 @@ def test_eight_element_canonical_forms_are_pinned():
     )
 
 
+def test_canonical_search_generators_are_pinned():
+    # the sha256 of the automorphism generators canonical_with_perm returns
+    # for every class with n <= 8, in output order; which leaves the search
+    # visits, and so which generators it records, follows from every orbit
+    # skip and backjump
+    generators = [canonical_with_perm(S)[2] for n in range(1, 9) for S in classes(n)]
+    assert sum(map(len, generators)) == 1274
+    assert (
+        hashlib.sha256(json.dumps(generators).encode()).hexdigest()
+        == "371cb169498b5171e67acbef181ea965106b3b2161ba05492f7cbba331c38b5b"
+    )
+
+
 def _masks_by_definition(T):
     """(down-sets, up-sets) as bitmasks, read off the meet table."""
     rng_n = range(T.n)
@@ -388,6 +401,24 @@ def test_top_values_n5():
         (13, {"NucleusN5"}),
         (12, {"Other"}),
     ]
+
+
+@pytest.mark.parametrize("top", [0, -1])
+def test_spectrum_refuses_a_top_below_one_before_walking(monkeypatch, top):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before top was checked")
+
+    monkeypatch.setattr(enumeration, "_in_shares", no_walk)
+    message = f"top count must be at least 1, got {top}"
+    for n in (3, 5, 10):  # 10 is above the enumeration bound
+        with pytest.raises(TooLarge, match=message):
+            spectrum(n, top=top)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_top_values_refuses_a_count_below_one(count):
+    with pytest.raises(TooLarge, match=f"top count must be at least 1, got {count}"):
+        top_values(spectrum(5, top=4), count)
 
 
 def test_top_values_not_enough():

@@ -10,6 +10,8 @@ from slcong.core import extend_below, from_covers, named
 from slcong.errors import (
     ContainsZero,
     DualityViolation,
+    InternalInconsistency,
+    InvalidTable,
     NotJoinClosed,
     SizeMismatch,
     TooLarge,
@@ -370,6 +372,12 @@ def test_verify_duality_rejects_a_dual_twisted_by_an_automorphism(monkeypatch):
     monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", twisted)
     with pytest.raises(DualityViolation):
         verify_duality(named("b4"))
+
+
+def test_duality_violation_is_an_internal_inconsistency():
+    # a failed duality check is a bug in the package, never bad input
+    assert issubclass(DualityViolation, InternalInconsistency)
+    assert not issubclass(DualityViolation, InvalidTable)
 
 
 def test_dual_reverses_inclusion_pairwise():
