@@ -196,7 +196,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_claims(args.n_max)
+    results = verify.run_claims(args.n_max, jobs=args.jobs)
     if args.format == "json":
         _emit_json({"results": [r.to_obj() for r in results], "passed": all(r.passed for r in results)})
     else:
@@ -311,6 +311,7 @@ def _add_enumerate(sub):
 def _add_verify(sub):
     p = sub.add_parser("verify", help="run the verification claims up to n_max")
     p.add_argument("n_max", type=int)
+    _add_jobs(p)
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 

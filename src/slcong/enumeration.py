@@ -20,13 +20,14 @@ each class as it is found and stores no level.
 
 Since each class has one parent, the walk splits by subtree into shares:
 the classes with SPLIT_N elements are its roots, and share i of ``jobs``
-walks the subtrees of roots i, i + jobs, ...  ``spectrum`` and
-``enumerate_semilattices`` run each share in its own process
-(``_in_shares``; share 0 in the caller's), reduce it there to a summary,
-and merge the summaries; the merge checks that no two shares reported the
-same class.  ``enumerate_semilattices(n)`` sorts the n-element classes'
-meet keys, and ``spectrum`` keeps per-value counts, the least witnesses
-and the classes of the top values, never every class.  The split size was
+walks the subtrees of roots i, i + jobs, ...  ``spectrum``,
+``enumerate_semilattices`` and ``verify.run_claims`` run each share in its
+own process (``_in_shares``; share 0 in the caller's), reduce it there to
+a summary, and merge the summaries; the merge checks that no two shares
+reported the same class (``_check_disjoint``).
+``enumerate_semilattices(n)`` sorts the n-element classes' meet keys, and
+``spectrum`` keeps per-value counts, the least witnesses and the classes
+of the top values, never every class.  The split size was
 measured: at SPLIT_N = 5 two shares of ``spectrum(9)`` hold 3,073 and
 2,921 classes and take about the same time; at 6 they hold 2,771 and 3,223.
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 from itertools import count as counter
@@ -307,6 +308,16 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
             receive.close()
 
 
+def _check_disjoint(key_sets: Iterable[set[bytes]]) -> None:
+    """Raise InternalInconsistency unless the key sets, one per share of a
+    walk, are pairwise disjoint: no two shares reported the same class."""
+    seen: set[bytes] = set()
+    for keys in key_sets:
+        if not seen.isdisjoint(keys):
+            raise InternalInconsistency("two shares of the walk reported the same class")
+        seen |= keys
+
+
 def _check_top(top: int) -> None:
     if top < 1:
         raise TooLarge(f"top count must be at least 1, got {top}")
@@ -331,10 +342,9 @@ def enumerate_semilattices(
     """All n-element meet semilattices up to isomorphism, canonical and
     sorted, from the meet keys of every share of the walk."""
     _check_bound(n, max_n)
-    keys = sorted(chain.from_iterable(_in_shares(_level_keys, (n,), _shares(n, jobs))))
-    if any(a == b for a, b in zip(keys, keys[1:])):
-        raise InternalInconsistency("two shares of the walk reported the same class")
-    return [_table(key, n) for key in keys]
+    shares = _in_shares(_level_keys, (n,), _shares(n, jobs))
+    _check_disjoint(map(set, shares))
+    return [_table(key, n) for key in sorted(chain.from_iterable(shares))]
 
 
 def _extend_checked(S: SemilatticeTable, mask: int) -> SemilatticeTable | None:
@@ -484,16 +494,12 @@ def spectrum(
     if top is not None:
         _check_top(top)
     _check_bound(n, max_n)
+    shares = _in_shares(_spectrum_share, (n, top), _shares(n, jobs))
+    _check_disjoint(keys for _, _, keys, _ in shares)
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
-    keys: set[bytes] = set()
     classes: dict[int, set[SemilatticeClass]] = {}
-    for share_totals, share_least, share_keys, share_classes in _in_shares(
-        _spectrum_share, (n, top), _shares(n, jobs)
-    ):
-        if not keys.isdisjoint(share_keys):
-            raise InternalInconsistency("two shares of the walk reported the same class")
-        keys |= share_keys
+    for share_totals, share_least, _, share_classes in shares:
         for value, k in share_totals.items():
             totals[value] = totals.get(value, 0) + k
         for value, witnesses in share_least.items():

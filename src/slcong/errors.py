@@ -5,6 +5,11 @@ table violates and carry the first offending elements.
 ``InternalInconsistency`` and its subclass ``DualityViolation`` signal a
 bug in the package; everything else signals a broken precondition of an
 individual operation.
+
+Every class pickles to itself with the same message, so an error raised in
+a worker process of a split walk reaches the parent intact: a class whose
+constructor takes elements, not a message, is rebuilt from them
+(``__reduce__``).
 """
 
 
@@ -21,11 +26,17 @@ class NotIdempotent(InvalidTable):
         super().__init__(f"meet({x},{x}) != {x}")
         self.element = x
 
+    def __reduce__(self):
+        return type(self), (self.element,)
+
 
 class NotCommutative(InvalidTable):
     def __init__(self, x, y):
         super().__init__(f"meet({x},{y}) != meet({y},{x})")
         self.pair = (x, y)
+
+    def __reduce__(self):
+        return type(self), self.pair
 
 
 class NotAssociative(InvalidTable):
@@ -33,11 +44,17 @@ class NotAssociative(InvalidTable):
         super().__init__(f"meet(meet({x},{y}),{z}) != meet({x},meet({y},{z}))")
         self.triple = (x, y, z)
 
+    def __reduce__(self):
+        return type(self), self.triple
+
 
 class NoLeastAtZero(InvalidTable):
     def __init__(self, x):
         super().__init__(f"meet(0,{x}) != 0, element 0 is not the least element")
         self.element = x
+
+    def __reduce__(self):
+        return type(self), (self.element,)
 
 
 class MalformedTable(InvalidTable):

@@ -2,14 +2,22 @@
 
 Each claim is a ``claim_`` function: an exhaustive or constructive check
 with exact expected values that returns its detail or raises.  An
-exhaustive claim loops over the classes of the sizes it covers, taken from
-``levels`` (the classes of one walk, listed by size) or, when none are
-given, from a walk of its own.  ``run_claims`` walks once for all of them.
+exhaustive claim has two steps.  Its check step, ``_check_<claim>(S,
+tally)``, runs the claim's per-class checks on one class and adds what the
+claim needs to its tally, a ``Counter`` whose entries merge by ``+``.  Its
+``claim_`` function merges the tallies and makes the claim's global
+assertions, such as the exact value sets.
+
+``run_claims`` walks once for all of them, split by subtree into shares
+(``enumeration._in_shares``): each share tallies its own classes for every
+claim (``_tally``), and the parent merges.  A ``claim_`` function called
+alone tallies a walk of its own, as one share.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .congruences import (
@@ -20,7 +28,6 @@ from .congruences import (
     quotient,
 )
 from .core import (
-    SemilatticeTable,
     _bits,
     are_isomorphic,
     attach_above,
@@ -30,7 +37,13 @@ from .core import (
 )
 from .enumeration import (
     DEFAULT_MAX_N,
+    SPLIT_N,
+    _check_disjoint,
+    _in_shares,
+    _key,
     _oracle_fingerprint,
+    _shares,
+    _table,
     enumerate_semilattices_bruteforce,
     walk,
 )
@@ -61,7 +74,8 @@ class ClaimResult:
         }
 
 
-def _run(name: str, fn, *args) -> ClaimResult:
+def _run(name: str, fn, *args, seconds: float = 0.0) -> ClaimResult:
+    """Call a claim; its seconds are those of the call plus ``seconds``."""
     start = time.perf_counter()
     try:
         detail = fn(*args)
@@ -69,7 +83,7 @@ def _run(name: str, fn, *args) -> ClaimResult:
     except Exception as exc:  # a failed assertion or a broken precondition
         detail = f"{type(exc).__name__}: {exc}"
         passed = False
-    return ClaimResult(name, passed, detail, time.perf_counter() - start)
+    return ClaimResult(name, passed, detail, seconds + time.perf_counter() - start)
 
 
 # Every claim in the order it is reported: the suffix of its claim_ function
@@ -89,37 +103,106 @@ CLAIMS = {
 # the largest is the default max_n of its claim_ function.
 SIZES = {
     "small_spectra": range(2, 6),
-    "top_four": range(6, 9),
+    "top_four": range(6, DEFAULT_MAX_N + 1),
     "duality": range(1, 8),
-    "tree_quotient": range(1, 8),
+    "tree_quotient": range(1, DEFAULT_MAX_N + 1),
     "convex_block": range(2, 7),
     "lattice_bound": range(1, 9),
     "enumeration_oracle": range(1, 7),
 }
 
 
-def _classes(claim: str, max_n: int, levels: list[list[SemilatticeTable]] | None):
-    """The classes a claim checks, of its sizes up to max_n: from levels,
-    indexed by size, or else from a walk of their own."""
-    sizes = range(SIZES[claim].start, max_n + 1)
+def _tally(caps: dict[str, int], classes) -> tuple[dict, dict, set[bytes]]:
+    """Each claim's check step (``_check_<claim>``) over the classes of its
+    sizes up to its cap in ``caps``.
+
+    Returns, per claim, its tally, or the exception its check raised, after
+    which it checks no more classes; per claim, the seconds its checks
+    took; and the keys of the classes with at least SPLIT_N elements, for
+    the parent's duplicate check.  Each class is checked by every claim in
+    turn and then dropped, so no class is held."""
+    tallies: dict[str, Counter | Exception] = {c: Counter() for c in caps}
+    seconds = dict.fromkeys(caps, 0.0)
+    keys: set[bytes] = set()
+    checks = [
+        (c, globals()[f"_check_{c}"], range(SIZES[c].start, cap + 1)) for c, cap in caps.items()
+    ]
+    for S in classes:
+        if S.n >= SPLIT_N:
+            keys.add(_key(S))
+        for c, check, sizes in checks:
+            if S.n not in sizes or isinstance(tallies[c], Exception):
+                continue
+            start = time.perf_counter()
+            try:
+                check(S, tallies[c])
+            except Exception as exc:  # fails this claim only
+                tallies[c] = exc
+            seconds[c] += time.perf_counter() - start
+    return tallies, seconds, keys
+
+
+def _verify_share(caps: dict[str, int], share: int, jobs: int) -> tuple[dict, dict, set[bytes]]:
+    """``_tally`` of the classes one share of the walk to the largest cap
+    reports."""
+    return _tally(caps, walk(max(caps.values()), share, jobs))
+
+
+def _merged(claim: str, max_n: int, levels: list | None) -> dict:
+    """A claim's tallies merged entry by entry with ``+``: ``levels``, the
+    tallies the shares of one walk made for the claim, in share order, as
+    ``run_claims`` passes them, or when None the one tally of a walk of the
+    claim's own.  A tally that is an exception is raised, the first in
+    share order."""
     if levels is None:
-        return (S for S in walk(max_n) if S.n in sizes)
-    return (S for n in sizes for S in levels[n])
+        levels = [_tally({claim: max_n}, walk(max_n))[0][claim]]
+    merged: dict = {}
+    for tally in levels:
+        if isinstance(tally, Exception):
+            raise tally
+        for key, value in tally.items():
+            merged[key] = merged[key] + value if key in merged else value
+    return merged
+
+
+def _check_small_spectra(S, tally: Counter) -> None:
+    k = congruence_count(S)
+    tally.setdefault(S.n, Counter())[k] += 1
+    if S.n == 5 and k == 12 and are_isomorphic(S, named("m3")):
+        tally["m3"] += 1
 
 
 def claim_small_spectra(max_n: int = SIZES["small_spectra"][-1], levels=None) -> str:
     """NCsl(2)..NCsl(5) match the known value sets; M3 witnesses 12."""
     expected = {2: {2}, 3: {4}, 4: {7, 8}, 5: {12, 13, 14, 16}}
-    values = {n: set() for n in expected if n <= max_n}
-    m3 = False
-    for S in _classes("small_spectra", max_n, levels):
-        k = congruence_count(S)
-        values[S.n].add(k)
-        m3 = m3 or (S.n == 5 and k == 12 and are_isomorphic(S, named("m3")))
-    for n, found in values.items():
+    sizes = [n for n in expected if n <= max_n]
+    tally = _merged("small_spectra", max_n, levels)
+    for n in sizes:
+        found = set(tally.get(n, ()))
         assert found == expected[n], f"NCsl({n}) = {sorted(found)}, expected {sorted(expected[n])}"
-    assert m3 or 5 not in values, "M3 is not among the witnesses of 12"
-    return f"NCsl(n) exact for n in {list(values)}" + ("; 12 witnessed by M3" if m3 else "")
+    m3 = "m3" in tally
+    assert m3 or 5 not in sizes, "M3 is not among the witnesses of 12"
+    return f"NCsl(n) exact for n in {sizes}" + ("; 12 witnessed by M3" if m3 else "")
+
+
+def _top_four(n: int) -> list[int]:
+    return [scaled_threshold(c, n) for c in (32, 28, 26, 25)]
+
+
+def _check_top_four(S, tally: Counter) -> None:
+    n = S.n
+    top = _top_four(n)
+    report = classify(S)
+    k, cls = report.congruence_count, report.semilattice_class
+    assert (cls == SemilatticeClass.TREE) == (k == top[0]), (n, k, cls)
+    assert (cls == SemilatticeClass.NUCLEUS_B4) == (k == top[1]), (n, k, cls)
+    assert (cls == SemilatticeClass.NUCLEUS_N5) == (k == top[2]), (n, k, cls)
+    assert (
+        cls in (SemilatticeClass.NUCLEUS_F, SemilatticeClass.NUCLEUS_N6)
+    ) == (k == top[3]), (n, k, cls)
+    for hi, lo in zip(top, top[1:]):
+        assert not lo < k < hi, f"n={n}: {k} lies strictly between {lo} and {hi}"
+    tally.setdefault(n, Counter())[k] += 1
 
 
 def claim_top_four(max_n: int = SIZES["top_four"][-1], levels=None) -> str:
@@ -128,28 +211,13 @@ def claim_top_four(max_n: int = SIZES["top_four"][-1], levels=None) -> str:
     no values in the gaps."""
     sizes = range(SIZES["top_four"].start, max_n + 1)
     assert sizes, "needs n_max >= 6"
-    thresholds = {n: [scaled_threshold(c, n) for c in (32, 28, 26, 25)] for n in sizes}
-    values = {n: set() for n in sizes}
-    classes = dict.fromkeys(sizes, 0)
-    for S in _classes("top_four", max_n, levels):
-        n = S.n
-        top = thresholds[n]
-        report = classify(S)
-        k, cls = report.congruence_count, report.semilattice_class
-        values[n].add(k)
-        classes[n] += 1
-        assert (cls == SemilatticeClass.TREE) == (k == top[0]), (n, k, cls)
-        assert (cls == SemilatticeClass.NUCLEUS_B4) == (k == top[1]), (n, k, cls)
-        assert (cls == SemilatticeClass.NUCLEUS_N5) == (k == top[2]), (n, k, cls)
-        assert (
-            cls in (SemilatticeClass.NUCLEUS_F, SemilatticeClass.NUCLEUS_N6)
-        ) == (k == top[3]), (n, k, cls)
-        for hi, lo in zip(top, top[1:]):
-            assert not lo < k < hi, f"n={n}: {k} lies strictly between {lo} and {hi}"
-    for n, top in thresholds.items():
-        found = sorted(values[n], reverse=True)[:4]
-        assert found == top, f"n={n}: top values {found}"
-    return "; ".join(f"n={n}: {classes[n]} classes, top {top}" for n, top in thresholds.items())
+    tally = _merged("top_four", max_n, levels)
+    for n in sizes:
+        found = sorted(tally.get(n, ()), reverse=True)[:4]
+        assert found == _top_four(n), f"n={n}: top values {found}"
+    return "; ".join(
+        f"n={n}: {sum(tally[n].values())} classes, top {_top_four(n)}" for n in sizes
+    )
 
 
 def _fixture_families():
@@ -200,6 +268,14 @@ def claim_fixture_counts() -> str:
     return "28 at n=6 (x3), 14 at n=5, 1664 at n=12 (x3, common skeleton), 3200 at n=13 (x4, common skeleton)"
 
 
+def _check_duality(S, tally: Counter) -> None:
+    report = verify_duality(S)
+    pj = PartialJoinStructure(S)
+    counts = (report.congruence_count, report.subalgebra_count, pj.count_inclusion_exclusion(), pj.count())
+    assert len(set(counts)) == 1, (S.n, counts)
+    tally["classes"] += 1
+
+
 def claim_duality(max_n: int = SIZES["duality"][-1], levels=None) -> str:
     """|Con| = |Sub(S+)| by listing both, by inclusion-exclusion and by the
     default counting route, and the dual map is an inclusion-reversing
@@ -208,15 +284,7 @@ def claim_duality(max_n: int = SIZES["duality"][-1], levels=None) -> str:
     For n <= 13 the default route counts the whole table with the kernel
     pass of the subset listing or with the inclusion-exclusion sum, so here
     it is not a fourth independent route."""
-    total = 0
-    for S in _classes("duality", max_n, levels):
-        report = verify_duality(S)
-        pj = PartialJoinStructure(S)
-        ie = pj.count_inclusion_exclusion()
-        default = pj.count()
-        counts = (report.congruence_count, report.subalgebra_count, ie, default)
-        assert len(set(counts)) == 1, (S.n, counts)
-        total += 1
+    total = _merged("duality", max_n, levels).get("classes", 0)
     return (
         f"n <= {max_n}: {total} semilattices, counts agree on three independent routes"
         " (congruence listing, subset listing, inclusion-exclusion) and the default route,"
@@ -224,54 +292,60 @@ def claim_duality(max_n: int = SIZES["duality"][-1], levels=None) -> str:
     )
 
 
+def _check_tree_quotient(S, tally: Counter) -> None:
+    Q, _ = quotient(S, tree_congruence(S))
+    assert validate(Q.meet) == Q and is_tree(Q), f"non-tree quotient at n={S.n}"
+    tally["classes"] += 1
+
+
 def claim_tree_quotient(max_n: int = SIZES["tree_quotient"][-1], levels=None) -> str:
     """The quotient by the tree congruence is a tree, for every n <= max_n."""
-    total = 0
-    for S in _classes("tree_quotient", max_n, levels):
-        Q, _ = quotient(S, tree_congruence(S))
-        assert validate(Q.meet) == Q and is_tree(Q), f"non-tree quotient at n={S.n}"
-        total += 1
+    total = _merged("tree_quotient", max_n, levels).get("classes", 0)
     return f"n <= {max_n}: {total} tree-congruence quotients are trees"
+
+
+def _check_convex_block(S, tally: Counter) -> None:
+    for mask in range(3, 1 << S.n):
+        if mask.bit_count() < 2:
+            continue
+        members = list(_bits(mask))
+        if not S.is_convex_subsemilattice(members):
+            continue
+        cond_b, is_cong = convex_block_congruence_check(S, members)
+        assert cond_b == is_cong, (S.n, members)
+        tally["convex"] += 1
 
 
 def claim_convex_block(max_n: int = SIZES["convex_block"][-1], levels=None) -> str:
     """condition (b) holds iff the one-nonsingleton-block partition is a
     congruence, over all convex subsemilattices with n <= max_n."""
-    total = 0
-    for S in _classes("convex_block", max_n, levels):
-        for mask in range(3, 1 << S.n):
-            if mask.bit_count() < 2:
-                continue
-            members = list(_bits(mask))
-            if not S.is_convex_subsemilattice(members):
-                continue
-            cond_b, is_cong = convex_block_congruence_check(S, members)
-            assert cond_b == is_cong, (S.n, members)
-            total += 1
+    total = _merged("convex_block", max_n, levels).get("convex", 0)
     return f"n <= {max_n}: {total} convex subsemilattices, both criteria agree"
+
+
+def _check_lattice_bound(S, tally: Counter) -> None:
+    if not is_lattice(S):
+        return
+    n = S.n
+    lattice_cons = all_lattice_congruences(S)
+    join = join_table(S)
+    for block in (b for P in lattice_cons for b in P.blocks):
+        low = high = block[0]
+        for x in block:
+            low, high = S.meet[low][x], join[high][x]
+        assert block == S.interval(low, high), (n, block)
+    bound = 1 << (n - 1)
+    assert len(lattice_cons) <= bound, (n, len(lattice_cons))
+    chain = all(d | u == (1 << n) - 1 for d, u in zip(S.below_mask, S.above_mask))
+    assert (len(lattice_cons) == bound) == chain, (n, len(lattice_cons))
+    tally["lattices"] += 1
 
 
 def claim_lattice_bound(max_n: int = SIZES["lattice_bound"][-1], levels=None) -> str:
     """Lattices with n <= max_n have at most 2^(n-1) lattice congruences,
     with equality exactly for chains; every class of a lattice congruence
     is the interval between its meet and its join."""
-    total = 0
-    for S in _classes("lattice_bound", max_n, levels):
-        if not is_lattice(S):
-            continue
-        n = S.n
-        lattice_cons = all_lattice_congruences(S)
-        join = join_table(S)
-        for block in (b for P in lattice_cons for b in P.blocks):
-            low = high = block[0]
-            for x in block:
-                low, high = S.meet[low][x], join[high][x]
-            assert block == S.interval(low, high), (n, block)
-        bound = 1 << (n - 1)
-        assert len(lattice_cons) <= bound, (n, len(lattice_cons))
-        chain = all(d | u == (1 << n) - 1 for d, u in zip(S.below_mask, S.above_mask))
-        assert (len(lattice_cons) == bound) == chain, (n, len(lattice_cons))
-        total += 1
+    total = _merged("lattice_bound", max_n, levels).get("lattices", 0)
     return f"n <= {max_n}: {total} lattices within the 2^(n-1) bound, equality exactly on chains"
 
 
@@ -286,49 +360,61 @@ def claim_interval_blocks() -> str:
     return f"grid2x3: {grid}, chain_6: {chain}, chain_1: {single}"
 
 
+def _check_enumeration_oracle(S, tally: Counter) -> None:
+    tally.setdefault(S.n, []).append(_key(S))
+
+
 def claim_enumeration_oracle(max_n: int = SIZES["enumeration_oracle"][-1], levels=None) -> str:
     """The orderly generator agrees with the naive labeled oracle."""
     expected = (1, 1, 2, 5, 15, 53)
     sizes = range(SIZES["enumeration_oracle"].start, max_n + 1)
-    counts = dict.fromkeys(sizes, 0)
-    unmatched: dict[int, dict[tuple, list]] = {n: {} for n in sizes}  # unpaired oracle classes
-    for n, pools in unmatched.items():
+    generated = _merged("enumeration_oracle", max_n, levels)  # the meet keys, by size
+    for n in sizes:
         slow = enumerate_semilattices_bruteforce(n)
         if n <= len(expected):
             assert len(slow) == expected[n - 1], (n, len(slow))
+        unmatched: dict[tuple, list] = {}  # unpaired oracle classes, by fingerprint
         for R in slow:
-            pools.setdefault(_oracle_fingerprint(R), []).append(R)
-    # pair every generated table with its own oracle class: no class matched
-    # twice and none left over make the pairing a bijection
-    for S in _classes("enumeration_oracle", max_n, levels):
-        pool = unmatched[S.n].get(_oracle_fingerprint(S), [])
-        i = next((i for i, R in enumerate(pool) if are_isomorphic(S, R)), None)
-        assert i is not None, f"a generated table matches no unpaired oracle class at n={S.n}"
-        pool.pop(i)
-        counts[S.n] += 1
-    for n, pools in unmatched.items():
-        assert not any(pools.values()), f"an oracle class at n={n} matches no generated table"
-    return f"n <= {max_n}: class counts {list(counts.values())} match the oracle"
+            unmatched.setdefault(_oracle_fingerprint(R), []).append(R)
+        # pair every generated table with its own oracle class: no class
+        # matched twice and none left over make the pairing a bijection
+        for key in generated.get(n, ()):
+            S = _table(key, n)
+            pool = unmatched.get(_oracle_fingerprint(S), [])
+            i = next((i for i, R in enumerate(pool) if are_isomorphic(S, R)), None)
+            assert i is not None, f"a generated table matches no unpaired oracle class at n={n}"
+            pool.pop(i)
+        assert not any(unmatched.values()), f"an oracle class at n={n} matches no generated table"
+    counts = [len(generated.get(n, ())) for n in sizes]
+    return f"n <= {max_n}: class counts {counts} match the oracle"
 
 
-def run_claims(n_max: int) -> list[ClaimResult]:
+def run_claims(n_max: int, jobs: int | None = None) -> list[ClaimResult]:
     """Run every claim applicable at sizes up to n_max (NCsl(n) needs n >= 2,
-    and the walk has the enumeration bound).  The exhaustive claims share the
-    classes of one walk; a claim's seconds are those of its own call, and a
-    claim that raises fails only itself."""
+    and the walk has the enumeration bound).
+
+    The exhaustive claims share one walk, split into ``jobs`` shares as
+    ``enumeration.spectrum`` splits it (``_in_shares``, ``_shares``): each
+    share tallies its own classes (``_verify_share``), the parent checks
+    that no two shares reported the same class, and each ``claim_``
+    function, called here, merges its tallies.  A claim's seconds are its
+    checks' seconds summed over the shares plus those of its own call, and
+    a claim that raises, in any share, fails only itself."""
     if n_max < 2:
         raise TooLarge(f"n_max must be at least 2, got {n_max}")
     if n_max > DEFAULT_MAX_N:
         raise TooLarge(f"n_max={n_max} exceeds enumeration bound {DEFAULT_MAX_N}")
     caps = {c: min(sizes[-1], n_max) for c, sizes in SIZES.items() if sizes.start <= n_max}
-    levels = [[] for _ in range(max(caps.values()) + 1)]
-    for S in walk(len(levels) - 1):
-        levels[S.n].append(S)
+    walked = max(caps.values())
+    shares = _in_shares(_verify_share, (caps,), _shares(walked, jobs))
+    _check_disjoint(keys for _, _, keys in shares)
     results = []
     for c, name in CLAIMS.items():
         claim = globals()[f"claim_{c}"]  # looked up now, so a tracer's wrapper is the one called
         if c not in SIZES:
             results.append(_run(name, claim))
         elif c in caps:
-            results.append(_run(name, claim, caps[c], levels))
+            tallies = [share_tallies[c] for share_tallies, _, _ in shares]
+            seconds = sum(share_seconds[c] for _, share_seconds, _ in shares)
+            results.append(_run(name, claim, caps[c], tallies, seconds=seconds))
     return results

@@ -3,17 +3,20 @@
 Every test that starts a worker checks that none is left running.
 """
 
+import inspect
 import json
 import multiprocessing
 import multiprocessing.process
 import os
+import pickle
+import re
 import sys
 import threading
 
 import pytest
 
 from conftest import classes
-from slcong import enumeration
+from slcong import enumeration, errors, verify
 from slcong.cli import main
 from slcong.enumeration import (
     SPLIT_N,
@@ -23,7 +26,7 @@ from slcong.enumeration import (
     top_values,
     walk,
 )
-from slcong.errors import InternalInconsistency, NotEnoughValues, TooLarge
+from slcong.errors import InternalInconsistency, NotAssociative, NotEnoughValues, TooLarge
 
 
 @pytest.fixture
@@ -146,6 +149,7 @@ def test_no_worker_starts_for_one_job_or_below_the_split(starts, capsys):
     spectrum(SPLIT_N, top=4, jobs=4)
     enumerate_semilattices(SPLIT_N, jobs=4)
     assert run(capsys, "spectrum", "3", "--top", "5", "--jobs", "2")[0] == 2
+    assert run(capsys, "verify", str(SPLIT_N), "--jobs", "4")[0] == 0
     assert not starts
 
 
@@ -164,7 +168,7 @@ def test_jobs_default_to_the_usable_cores():
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_exit_two(capsys, jobs):
-    for argv in (["spectrum", "7"], ["enumerate", "7"]):
+    for argv in (["spectrum", "7"], ["enumerate", "7"], ["verify", "7"]):
         code, out, err = run(capsys, *argv, "--jobs", jobs)
         assert code == 2 and out == ""
         assert err == f"error: jobs must be at least 1, got {jobs}\n"
@@ -235,3 +239,74 @@ def test_not_enough_values_leaves_no_worker(starts):
 def test_top_values_needs_the_classes_of_its_values():
     with pytest.raises(ValueError, match="its 1 largest values, fewer than the 2"):
         top_values(spectrum(5, top=1), 2)
+
+
+def _masked(out):
+    """Human verify output with each claim's seconds masked."""
+    return re.sub(r" \[\d+\.\d\ds\]$", " [-]", out, flags=re.M)
+
+
+def test_cli_verify_output_does_not_depend_on_jobs(starts, capsys):
+    code, one, _ = run(capsys, "verify", "7", "--format", "json", "--jobs", "1")
+    assert code == 0 and not starts
+    for jobs in (2, 3):
+        code, out, _ = run(capsys, "verify", "7", "--format", "json", "--jobs", str(jobs))
+        assert code == 0 and out == one
+    assert len(starts) == 1 + 2
+    assert json.loads(one)["passed"] is True
+    human = [run(capsys, "verify", "7", "--jobs", jobs) for jobs in ("1", "2")]
+    assert [code for code, _, _ in human] == [0, 0]
+    assert _masked(human[0][1]) == _masked(human[1][1])
+    assert _masked(human[0][1]).count(" [-]\n") == len(verify.CLAIMS)
+
+
+def test_verify_check_that_raises_in_a_worker_fails_only_its_own_claim(starts, monkeypatch, capsys):
+    # the worker's tree-quotient check raises an error whose constructor takes
+    # elements, not a message; it reaches the parent as that claim's failure
+    parent = os.getpid()
+    real = verify.tree_congruence
+
+    def broken_in_a_worker(S):
+        if os.getpid() != parent:
+            raise NotAssociative(1, 2, 3)
+        return real(S)
+
+    monkeypatch.setattr(verify, "tree_congruence", broken_in_a_worker)
+    code, out, _ = run(capsys, "verify", "6", "--jobs", "2")
+    assert code == 1 and len(starts) == 1
+    assert re.findall(r"^(PASS|FAIL) (\S+) ", out, re.M) == [
+        ("FAIL" if name == "tree-quotient" else "PASS", name) for name in verify.CLAIMS.values()
+    ]
+    assert "FAIL tree-quotient (NotAssociative: meet(meet(1,2),3) != meet(1,meet(2,3))) [" in out
+
+
+def test_verify_refuses_two_shares_on_one_root(starts, monkeypatch, capsys):
+    real = enumeration._owns
+    monkeypatch.setattr(enumeration, "_owns", lambda i, share, jobs: i == 0 or real(i, share, jobs))
+    with pytest.raises(InternalInconsistency, match="two shares"):
+        verify.run_claims(6, jobs=2)
+    code, out, err = run(capsys, "verify", "6", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err == "internal inconsistency: two shares of the walk reported the same class\n"
+    assert len(starts) == 2
+
+
+def _error_classes():
+    return [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+    ]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_pickles_to_itself(cls):
+    # a worker hands its exception to the parent pickled
+    if "__init__" in vars(cls):  # built from elements, not from a message
+        exc = cls(*range(2, 2 + len(inspect.signature(cls).parameters)))
+    else:
+        exc = cls("a message")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)

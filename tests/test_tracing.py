@@ -96,7 +96,8 @@ def test_verify_walks_the_enumeration_once(capsys):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert slcong.cli.main(["verify", "6"]) == 0
+        # one process, so that the tracer sees every share's calls
+        assert slcong.cli.main(["verify", "6", "--jobs", "1"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
