@@ -472,7 +472,8 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 def _refine(S: SemilatticeTable) -> list[int]:
     """The refinement colors.  Colors are below n, so the pair (color(z),
     color(x^z)) is sorted as the int color(z)·n + color(x^z), in the same
-    order."""
+    order.  A discrete coloring is returned at once, since no round can
+    split it further."""
     n = S.n
     bm, am = S.below_mask, S.above_mask
     keys = [(b.bit_count(), a.bit_count()) for b, a in zip(bm, am)]
@@ -480,6 +481,8 @@ def _refine(S: SemilatticeTable) -> list[int]:
         uniq = sorted(set(keys))
         index = {k: i for i, k in enumerate(uniq)}
         color = [index[k] for k in keys]
+        if len(uniq) == n:
+            return color
         scaled = [c * n for c in color]
         keys = [
             (c, tuple(sorted([s + color[m] for s, m in zip(scaled, row)])))

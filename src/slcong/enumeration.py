@@ -14,9 +14,12 @@ The walk (``walk``) is depth-first, and each class is searched once: the
 canonical search of a kept child gives the generators for its orbit test,
 and the child is expanded at once, in the labelling it was built in
 (acceptance does not depend on it), with those generators splitting its
-ideals.  A child whose new element lacks the largest (down-set size, up-set
-size) or refinement color is rejected before any search.  The walk yields
-each class as it is found and stores no level.
+ideals.  An ideal whose child would fail the (down-set size, up-set size)
+pre-test is dropped before its orbit is listed and before the child is
+built (``_sized_ideals``); a child whose new element lacks the largest
+refinement color is rejected before any search.  The walk yields each
+class as it is found, as the pair of its canonical meet key and the table
+it built, and stores no level.
 
 Since each class has one parent, the walk splits by subtree into shares:
 the classes with SPLIT_N elements are its roots, and share i of ``jobs``
@@ -24,19 +27,20 @@ walks the subtrees of roots i, i + jobs, ...  ``spectrum``,
 ``enumerate_semilattices`` and ``verify.run_claims`` run each share in its
 own process (``_in_shares``; share 0 in the caller's), reduce it there to
 a summary, and merge the summaries; the merge checks that no two shares
-reported the same class (``_check_disjoint``).
+reported the same class (``_check_disjoint``), on the 8-byte digests of
+the meet keys (``_digest``) where the keys are not output.
 ``enumerate_semilattices(n)`` sorts the n-element classes' meet keys, and
-``spectrum`` keeps per-value counts, the least witnesses and the classes
-of the top values, never every class.  The split size was
+``spectrum`` keeps per-value counts, the least witnesses' keys and the
+classes of the top values, never every class.  The split size was
 measured: at SPLIT_N = 5 two shares of ``spectrum(9)`` hold 3,073 and
 2,921 classes and take about the same time; at 6 they hold 2,771 and 3,223.
 
 Every child the walk makes starts with its down-set and up-set masks,
-taken from its parent's and the ideal (``_extend``), since the size
-pre-test, ``_refine`` and its own expansion read them at once.  The walk
-expands the child, not its canonical form, so a canonical form builds its
-masks from the meet table only when a reader (counting, ``classify``)
-asks for them.
+taken from its parent's and the ideal (``_extend``), since ``_refine`` and
+its own expansion read them at once.  The walk hands out the child, not
+its canonical form, so counting and ``classify`` read the masks the child
+already has; a canonical form (``_table``) builds its masks from the meet
+table only when a reader asks for them.
 
 ``enumerate_semilattices_bruteforce`` is the independent oracle: plain
 backtracking over labeled order extensions followed by isomorphism
@@ -49,8 +53,13 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from itertools import count as counter
+
+# hashlib.blake2b itself; importing hashlib would also load OpenSSL, about
+# 3.5 MB of resident memory that a spectrum run has no other use for
+from _blake2 import blake2b
 
 from . import kernels
 from .core import (
@@ -65,7 +74,7 @@ from .core import (
 )
 from .errors import InternalInconsistency, NotEnoughValues, TooLarge
 from .joinsub import PartialJoinStructure, congruence_count
-from .structure import SemilatticeClass, classify
+from .structure import SemilatticeClass, _classified
 
 DEFAULT_MAX_N = 9
 ORACLE_MAX_N = 7
@@ -136,10 +145,25 @@ def _mask_orbit(mask: int, images: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _orbit_representatives(S: SemilatticeTable, generators: list[list[int]]) -> list[int]:
-    """The least join-closed down-set of each Aut(S)-orbit, ascending, given
-    generators of Aut(S)."""
-    masks = _joinclosed_downset_masks(S)
+def _sized_ideals(S: SemilatticeTable) -> list[int]:
+    """The join-closed down-sets I of S whose child passes the size pretest
+    of ``_accepted_canonical``, read off S's masks and I, ascending.
+
+    The new element's (down-set size, up-set size) is (|I| + 1, 1).  An old
+    element x keeps its down-set, and its up-set grows only when x is in I,
+    where |↓x| <= |I|.  So some x beats the new element iff |↓x| > |I| + 1:
+    an x with |↓x| = |I| + 1 lies outside I, and is maximal in the child
+    unless some y > x in S has a larger down-set still.  Hence I is kept iff
+    |I| + 1 is at least the largest down-set size of S, which Aut(S) keeps,
+    as it keeps |I| along I's orbit, so the test keeps or drops whole
+    orbits."""
+    least = max(b.bit_count() for b in S.below_mask) - 1
+    return [mask for mask in _joinclosed_downset_masks(S) if mask.bit_count() >= least]
+
+
+def _orbit_representatives(masks: list[int], generators: list[list[int]]) -> list[int]:
+    """The least mask of each orbit, ascending, given ascending join-closed
+    down-sets of S that form whole Aut(S)-orbits and generators of Aut(S)."""
     if not generators:
         return masks
     images = [[1 << y for y in g] for g in generators]
@@ -181,23 +205,36 @@ def _owns(i: int, share: int, jobs: int) -> bool:
     return i % jobs == share
 
 
-def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[SemilatticeTable]:
-    """Every canonical class with 1..max_n elements that one share of the
-    walk reports, once each, depth-first: a kept child comes before its own
+def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[tuple[bytes, SemilatticeTable]]:
+    """Every class with 1..max_n elements that one share of the walk
+    reports, once each, depth-first: a kept child comes before its own
     children.  ``walk(max_n)`` is the whole walk, share 0 of 1.
+
+    Each class comes as a pair (key, S): key is the ``_key`` of its
+    canonical form, and S is the class as the walk built it, with the masks
+    it took from its parent (``_extend``).  Readers of label-invariant
+    properties, such as congruence counts and classes, read them off S;
+    ``_table(key, S.n)`` is the canonical table.
 
     Canonical augmentation gives each class one parent, so the subtrees
     below the classes with SPLIT_N elements (the roots) hold disjoint sets
     of classes.  Every share walks the classes below SPLIT_N, which only
     share 0 reports, and the subtree of each root it owns (``_owns``).
 
+    A parent is extended only by the ideals whose child passes the size
+    pretest (``_sized_ideals``), one per orbit: the pretest keeps or drops
+    whole Aut(parent)-orbits, so the least ideal of each kept orbit is the
+    one the unfiltered orbit step would pick.
+
     The duplicate check keeps each meet table as bytes, a tenth of the
     tuples' size (entries stay below 256 in any walk that can finish)."""
     seen: set[bytes] = set()
     roots = counter()
 
-    def expand(parent: SemilatticeTable, generators: list[list[int]]) -> Iterator[SemilatticeTable]:
-        for mask in _orbit_representatives(parent, generators):
+    def expand(
+        parent: SemilatticeTable, generators: list[list[int]]
+    ) -> Iterator[tuple[bytes, SemilatticeTable]]:
+        for mask in _orbit_representatives(_sized_ideals(parent), generators):
             child = _extend(parent, mask)
             kept = _accepted_canonical(child)
             if kept is None:
@@ -210,12 +247,12 @@ def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[SemilatticeTable
                 raise InternalInconsistency("canonical augmentation produced a duplicate")
             seen.add(key)
             if share == 0 or K.n >= SPLIT_N:
-                yield K
+                yield key, child
             if child.n < max_n:
                 yield from expand(child, child_generators)
 
     if share == 0:
-        yield _ONE
+        yield _key(_ONE), _ONE
     if max_n > 1:
         yield from expand(_ONE, [])
 
@@ -229,6 +266,15 @@ def _key(S: SemilatticeTable) -> bytes:
 def _table(key: bytes, n: int) -> SemilatticeTable:
     """The table whose ``_key`` is ``key``."""
     return SemilatticeTable(tuple(tuple(key[i : i + n]) for i in range(0, n * n, n)))
+
+
+def _digest(key: bytes) -> bytes:
+    """An 8-byte digest of a meet key, for the cross-share duplicate check.
+
+    ``hash()`` would not do: its seed differs between spawned processes.
+    Two classes with one digest can only raise a false InternalInconsistency
+    in ``_check_disjoint``; an overlap of shares always shows."""
+    return blake2b(key, digest_size=8).digest()
 
 
 def _shares(n: int, jobs: int | None) -> int:
@@ -310,7 +356,8 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
 
 def _check_disjoint(key_sets: Iterable[set[bytes]]) -> None:
     """Raise InternalInconsistency unless the key sets, one per share of a
-    walk, are pairwise disjoint: no two shares reported the same class."""
+    walk, are pairwise disjoint: no two shares reported the same class.
+    The keys are meet keys or their digests (``_digest``)."""
     seen: set[bytes] = set()
     for keys in key_sets:
         if not seen.isdisjoint(keys):
@@ -333,7 +380,7 @@ def _check_bound(n: int, max_n: int | None) -> None:
 
 def _level_keys(n: int, share: int, jobs: int) -> list[bytes]:
     """The keys of the n-element classes one share of the walk reports."""
-    return [_key(S) for S in walk(n, share, jobs) if S.n == n]
+    return [key for key, S in walk(n, share, jobs) if S.n == n]
 
 
 def enumerate_semilattices(
@@ -413,20 +460,28 @@ class Spectrum:
     """The set NCsl(n) of congruence-lattice sizes over all n-element semilattices.
 
     ``witness_totals`` maps each value to the number of classes attaining
-    it, and ``witnesses`` to the WITNESS_CAP least of their canonical tables
-    by meet, ascending.  ``classes`` maps each of the largest values asked
-    for (``spectrum``'s ``top``) to the classes (``structure.classify``) of
-    every table attaining it.
+    it, and ``witness_keys`` to the meet keys (``_key``) of the WITNESS_CAP
+    least of their canonical tables, ascending; ``witnesses`` holds those
+    tables, built on first read.  ``classes`` maps each of the largest
+    values asked for (``spectrum``'s ``top``) to the classes
+    (``structure.classify``) of every table attaining it.
     """
 
     n: int
     witness_totals: dict
-    witnesses: dict
+    witness_keys: dict
     classes: dict
 
     @property
     def values(self) -> tuple[int, ...]:
         return tuple(sorted(self.witness_totals))
+
+    @cached_property
+    def witnesses(self) -> dict:
+        return {
+            value: tuple(_table(key, self.n) for key in keys)
+            for value, keys in self.witness_keys.items()
+        }
 
     def to_obj(self) -> dict:
         return {
@@ -443,11 +498,13 @@ class Spectrum:
 def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
     """One share's summary of its n-element classes, streamed from its walk.
 
-    Returns (totals, least, keys, classes): the number of classes of each
-    value, the meet keys of each value's WITNESS_CAP least tables, the keys
-    of every class with at least SPLIT_N elements the share reports, and,
-    when ``top`` is given, the classes (``structure.classify``) of every
-    table of the share's own ``top`` largest values.
+    Returns (totals, least, digests, classes): the number of classes of
+    each value, the meet keys of each value's WITNESS_CAP least tables, the
+    digests (``_digest``) of the keys of every class with at least SPLIT_N
+    elements the share reports, and, when ``top`` is given, the classes
+    (``structure.classify``) of every table of the share's own ``top``
+    largest values.  Each class is counted once, on the table the walk
+    built, and the held tables are classified with that count.
 
     Those are enough for the global top M = ``top``: if v is among the M
     largest values overall, fewer than M values exceed v overall, so fewer
@@ -458,12 +515,11 @@ def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
     """
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
-    keys: set[bytes] = set()
+    digests: set[bytes] = set()
     held: dict[int, list[SemilatticeTable]] = {}
-    for S in walk(n, share, jobs):
-        key = _key(S)
+    for key, S in walk(n, share, jobs):
         if S.n >= SPLIT_N:
-            keys.add(key)
+            digests.add(_digest(key))
         if S.n != n:
             continue
         value = congruence_count(S)
@@ -479,9 +535,10 @@ def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
                 del held[min(held)]
     least = {value: sorted(w)[:WITNESS_CAP] for value, w in least.items()}
     classes = {
-        value: {classify(S).semilattice_class for S in tables} for value, tables in held.items()
+        value: {_classified(S, value).semilattice_class for S in tables}
+        for value, tables in held.items()
     }
-    return totals, least, keys, classes
+    return totals, least, digests, classes
 
 
 def spectrum(
@@ -495,7 +552,7 @@ def spectrum(
         _check_top(top)
     _check_bound(n, max_n)
     shares = _in_shares(_spectrum_share, (n, top), _shares(n, jobs))
-    _check_disjoint(keys for _, _, keys, _ in shares)
+    _check_disjoint(digests for _, _, digests, _ in shares)
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
     classes: dict[int, set[SemilatticeClass]] = {}
@@ -510,7 +567,7 @@ def spectrum(
     return Spectrum(
         n,
         totals,
-        {value: tuple(_table(key, n) for key in sorted(w)[:WITNESS_CAP]) for value, w in least.items()},
+        {value: tuple(sorted(w)[:WITNESS_CAP]) for value, w in least.items()},
         {value: frozenset(classes[value]) for value in largest},
     )
 

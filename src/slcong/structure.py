@@ -7,13 +7,18 @@ exactly one nonsingleton block, the nucleus; the quotient is the skeleton.
 The classifier assigns one of the extremal classes from structural
 predicates alone, naming a nucleus by its canonical certificate, and
 cross-checks the congruence count computed by the counting route -- it
-never infers the class from the count.
+never infers the class from the count.  A nucleus is named through a cache
+keyed by its labelled meet table (``_nucleus_class``): only tables with at
+most six elements are looked up, so the cache is finite, and the walk's
+classes share few labelled nuclei (8 among the 1,408 tables ``spectrum 9
+--top 4`` classifies).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .congruences import (
     Partition,
@@ -52,6 +57,14 @@ _NUCLEI = {
     )
 }
 _NUCLEUS_MAX_N = 6  # the largest catalog nucleus; a larger one is Other unsearched
+
+
+@lru_cache(maxsize=None)
+def _nucleus_class(meet: tuple[tuple[int, ...], ...]) -> tuple[SemilatticeClass, int] | None:
+    """The class and coefficient of the catalog nucleus isomorphic to the
+    nucleus table ``meet``, or None.  Called only with at most
+    _NUCLEUS_MAX_N elements, so the cache holds finitely many tables."""
+    return _NUCLEI.get(canonical_key(SemilatticeTable(meet)))
 
 
 def scaled_threshold(c: int, n: int) -> int:
@@ -173,9 +186,14 @@ def classify(S: SemilatticeTable) -> ClassificationReport:
     nucleus and its skeleton, a tree, which ``to_obj`` writes as lower
     covers.
     """
+    return _classified(S, congruence_count(S))
+
+
+def _classified(S: SemilatticeTable, k: int) -> ClassificationReport:
+    """``classify(S)`` given k, the count ``congruence_count(S)`` returns,
+    so a caller that has counted S already does not count it again."""
     if S.n < 2:
         raise SemilatticeError("classification needs n >= 2")
-    k = congruence_count(S)
     t = S.ubtas.t
     nuc: tuple[int, ...] | None = None
     skel: SemilatticeTable | None = None
@@ -190,9 +208,7 @@ def classify(S: SemilatticeTable) -> ClassificationReport:
         except NotQuasiTree:
             pass
         else:
-            found = len(nuc) <= _NUCLEUS_MAX_N and _NUCLEI.get(
-                canonical_key(S.subsemilattice(nuc)[0])
-            )
+            found = len(nuc) <= _NUCLEUS_MAX_N and _nucleus_class(S.subsemilattice(nuc)[0].meet)
             if found:
                 cls, c = found
                 predicted = scaled_threshold(c, S.n)

@@ -2,11 +2,13 @@
 
 Each claim is a ``claim_`` function: an exhaustive or constructive check
 with exact expected values that returns its detail or raises.  An
-exhaustive claim has two steps.  Its check step, ``_check_<claim>(S,
-tally)``, runs the claim's per-class checks on one class and adds what the
-claim needs to its tally, a ``Counter`` whose entries merge by ``+``.  Its
-``claim_`` function merges the tallies and makes the claim's global
-assertions, such as the exact value sets.
+exhaustive claim has two steps.  Its check step, ``_check_<claim>(key, S,
+tally)``, runs the claim's per-class checks on one class, given as the
+walk yields it (``enumeration.walk``): its canonical meet key and the
+table the walk built, on which the label-invariant checks run.  It adds
+what the claim needs to its tally, a ``Counter`` whose entries merge by
+``+``.  Its ``claim_`` function merges the tallies and makes the claim's
+global assertions, such as the exact value sets.
 
 ``run_claims`` walks once for all of them, split by subtree into shares
 (``enumeration._in_shares``): each share tallies its own classes for every
@@ -39,8 +41,8 @@ from .enumeration import (
     DEFAULT_MAX_N,
     SPLIT_N,
     _check_disjoint,
+    _digest,
     _in_shares,
-    _key,
     _oracle_fingerprint,
     _shares,
     _table,
@@ -114,32 +116,34 @@ SIZES = {
 
 def _tally(caps: dict[str, int], classes) -> tuple[dict, dict, set[bytes]]:
     """Each claim's check step (``_check_<claim>``) over the classes of its
-    sizes up to its cap in ``caps``.
+    sizes up to its cap in ``caps``, given as (key, S) pairs as
+    ``enumeration.walk`` yields them.
 
     Returns, per claim, its tally, or the exception its check raised, after
     which it checks no more classes; per claim, the seconds its checks
-    took; and the keys of the classes with at least SPLIT_N elements, for
-    the parent's duplicate check.  Each class is checked by every claim in
-    turn and then dropped, so no class is held."""
+    took; and the digests (``enumeration._digest``) of the keys of the
+    classes with at least SPLIT_N elements, for the parent's duplicate
+    check.  Each class is checked by every claim in turn and then dropped,
+    so no class is held."""
     tallies: dict[str, Counter | Exception] = {c: Counter() for c in caps}
     seconds = dict.fromkeys(caps, 0.0)
-    keys: set[bytes] = set()
+    digests: set[bytes] = set()
     checks = [
         (c, globals()[f"_check_{c}"], range(SIZES[c].start, cap + 1)) for c, cap in caps.items()
     ]
-    for S in classes:
+    for key, S in classes:
         if S.n >= SPLIT_N:
-            keys.add(_key(S))
+            digests.add(_digest(key))
         for c, check, sizes in checks:
             if S.n not in sizes or isinstance(tallies[c], Exception):
                 continue
             start = time.perf_counter()
             try:
-                check(S, tallies[c])
+                check(key, S, tallies[c])
             except Exception as exc:  # fails this claim only
                 tallies[c] = exc
             seconds[c] += time.perf_counter() - start
-    return tallies, seconds, keys
+    return tallies, seconds, digests
 
 
 def _verify_share(caps: dict[str, int], share: int, jobs: int) -> tuple[dict, dict, set[bytes]]:
@@ -165,7 +169,7 @@ def _merged(claim: str, max_n: int, levels: list | None) -> dict:
     return merged
 
 
-def _check_small_spectra(S, tally: Counter) -> None:
+def _check_small_spectra(key, S, tally: Counter) -> None:
     k = congruence_count(S)
     tally.setdefault(S.n, Counter())[k] += 1
     if S.n == 5 and k == 12 and are_isomorphic(S, named("m3")):
@@ -189,7 +193,7 @@ def _top_four(n: int) -> list[int]:
     return [scaled_threshold(c, n) for c in (32, 28, 26, 25)]
 
 
-def _check_top_four(S, tally: Counter) -> None:
+def _check_top_four(key, S, tally: Counter) -> None:
     n = S.n
     top = _top_four(n)
     report = classify(S)
@@ -268,7 +272,7 @@ def claim_fixture_counts() -> str:
     return "28 at n=6 (x3), 14 at n=5, 1664 at n=12 (x3, common skeleton), 3200 at n=13 (x4, common skeleton)"
 
 
-def _check_duality(S, tally: Counter) -> None:
+def _check_duality(key, S, tally: Counter) -> None:
     report = verify_duality(S)
     pj = PartialJoinStructure(S)
     counts = (report.congruence_count, report.subalgebra_count, pj.count_inclusion_exclusion(), pj.count())
@@ -292,7 +296,7 @@ def claim_duality(max_n: int = SIZES["duality"][-1], levels=None) -> str:
     )
 
 
-def _check_tree_quotient(S, tally: Counter) -> None:
+def _check_tree_quotient(key, S, tally: Counter) -> None:
     Q, _ = quotient(S, tree_congruence(S))
     assert validate(Q.meet) == Q and is_tree(Q), f"non-tree quotient at n={S.n}"
     tally["classes"] += 1
@@ -304,7 +308,7 @@ def claim_tree_quotient(max_n: int = SIZES["tree_quotient"][-1], levels=None) ->
     return f"n <= {max_n}: {total} tree-congruence quotients are trees"
 
 
-def _check_convex_block(S, tally: Counter) -> None:
+def _check_convex_block(key, S, tally: Counter) -> None:
     for mask in range(3, 1 << S.n):
         if mask.bit_count() < 2:
             continue
@@ -323,7 +327,7 @@ def claim_convex_block(max_n: int = SIZES["convex_block"][-1], levels=None) -> s
     return f"n <= {max_n}: {total} convex subsemilattices, both criteria agree"
 
 
-def _check_lattice_bound(S, tally: Counter) -> None:
+def _check_lattice_bound(key, S, tally: Counter) -> None:
     if not is_lattice(S):
         return
     n = S.n
@@ -360,8 +364,8 @@ def claim_interval_blocks() -> str:
     return f"grid2x3: {grid}, chain_6: {chain}, chain_1: {single}"
 
 
-def _check_enumeration_oracle(S, tally: Counter) -> None:
-    tally.setdefault(S.n, []).append(_key(S))
+def _check_enumeration_oracle(key, S, tally: Counter) -> None:
+    tally.setdefault(S.n, []).append(key)
 
 
 def claim_enumeration_oracle(max_n: int = SIZES["enumeration_oracle"][-1], levels=None) -> str:
@@ -407,7 +411,7 @@ def run_claims(n_max: int, jobs: int | None = None) -> list[ClaimResult]:
     caps = {c: min(sizes[-1], n_max) for c, sizes in SIZES.items() if sizes.start <= n_max}
     walked = max(caps.values())
     shares = _in_shares(_verify_share, (caps,), _shares(walked, jobs))
-    _check_disjoint(keys for _, _, keys in shares)
+    _check_disjoint(digests for _, _, digests in shares)
     results = []
     for c, name in CLAIMS.items():
         claim = globals()[f"claim_{c}"]  # looked up now, so a tracer's wrapper is the one called

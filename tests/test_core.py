@@ -468,7 +468,7 @@ def test_orbit_representatives_match_brute_force_orbits(rng):
                 min(sum(1 << g[x] for x in range(T.n) if mask >> x & 1) for g in group)
                 for mask in _joinclosed_downset_masks(T)
             }
-            reps = _orbit_representatives(T, canonical_with_perm(T)[2])
+            reps = _orbit_representatives(_joinclosed_downset_masks(T), canonical_with_perm(T)[2])
             assert reps == sorted(least), T.meet
 
 

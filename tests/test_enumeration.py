@@ -20,6 +20,8 @@ from slcong.enumeration import (
     _extend,
     _extend_checked,
     _joinclosed_downset_masks,
+    _sized_ideals,
+    _table,
     enumerate_semilattices,
     enumerate_semilattices_bruteforce,
     spectrum,
@@ -43,12 +45,55 @@ def test_counts_against_oracle():
 
 def test_walk_yields_each_class_once():
     levels = {n: [] for n in range(1, 9)}
-    for S in walk(8):
-        levels[S.n].append(S.meet)
+    for key, S in walk(8):
+        levels[S.n].append(key)
     assert [len(level) for level in levels.values()] == [1, 1, 2, 5, 15, 53, 222, 1078]
-    assert len({meet for level in levels.values() for meet in level}) == 1377
+    assert len({key for level in levels.values() for key in level}) == 1377
     for n, level in levels.items():
-        assert [S.meet for S in classes(n)] == sorted(level)
+        assert [S.meet for S in classes(n)] == [_table(key, n).meet for key in sorted(level)]
+
+
+def test_walk_pairs_each_key_with_the_class_it_built():
+    # S is the walk's own labelling of the class, with the masks it took
+    # from its parent; key is its canonical form's
+    relabeled = 0
+    for key, S in walk(8):
+        assert (S.below_mask, S.above_mask) == _masks_by_definition(S)
+        assert canonical_form(S).meet == _table(key, S.n).meet
+        relabeled += _table(key, S.n) != S
+    assert relabeled > 0
+
+
+def _passes_size_pretest(child):
+    sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(child.below_mask, child.above_mask)]
+    return sizes[-1] == max(sizes)
+
+
+def test_walk_extends_only_by_ideals_that_pass_the_size_pretest(monkeypatch):
+    # the pretest is read off the parent and the ideal before _extend, so
+    # every child built passes it: 1,468 children in walk(8), not 2,677
+    built = []
+    real = enumeration._extend
+
+    def extend(S, mask):
+        built.append(real(S, mask))
+        return built[-1]
+
+    monkeypatch.setattr(enumeration, "_extend", extend)
+    assert sum(1 for _ in walk(8)) == 1377
+    assert len(built) == 1468
+    assert all(map(_passes_size_pretest, built))
+
+
+def test_sized_ideals_are_the_ideals_whose_child_passes_the_size_pretest(rng):
+    for n in range(1, 8):
+        for S in classes(n):
+            for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
+                assert _sized_ideals(T) == [
+                    mask
+                    for mask in _joinclosed_downset_masks(T)
+                    if _passes_size_pretest(_extend(T, mask))
+                ], T.meet
 
 
 def test_walk_refuses_a_duplicated_class(monkeypatch):
@@ -165,11 +210,11 @@ def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
 
     def duplicated(max_n):
         tables = list(real(max_n))
-        fives = [i for i, S in enumerate(tables) if S.n == 5]
+        fives = [i for i, (_, S) in enumerate(tables) if S.n == 5]
         tables[fives[-1]] = tables[fives[0]]
         return iter(tables)
 
-    assert sum(S.n == 5 for S in duplicated(5)) == len(classes(5))
+    assert sum(S.n == 5 for _, S in duplicated(5)) == len(classes(5))
     monkeypatch.setattr(verify, "walk", duplicated)
     with pytest.raises(AssertionError, match="matches no unpaired oracle class at n=5"):
         verify.claim_enumeration_oracle(5)

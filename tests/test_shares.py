@@ -3,6 +3,7 @@
 Every test that starts a worker checks that none is left running.
 """
 
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -57,14 +58,16 @@ def test_split_roots_are_the_classes_of_the_split_size():
 def test_shares_partition_the_walk():
     # every class with n <= 8 is reported by exactly one of three shares;
     # only share 0 reports the classes below the split
-    whole = [S.meet for S in walk(8)]
-    shares = [[S.meet for S in walk(8, share, 3)] for share in range(3)]
-    assert sorted(whole) == sorted(meet for share in shares for meet in share)
-    assert all(len(meet) >= SPLIT_N for share in shares[1:] for meet in share)
+    whole = [key for key, _ in walk(8)]
+    shares = [[(key, S.n) for key, S in walk(8, share, 3)] for share in range(3)]
+    assert sorted(whole) == sorted(key for share in shares for key, _ in share)
+    assert all(n >= SPLIT_N for share in shares[1:] for _, n in share)
     assert all(shares)
-    # a share's summary keeps the key of each class it reports from the split up
-    keys = enumeration._spectrum_share(8, None, 1, 3)[2]
-    assert keys == {enumeration._key(S) for S in walk(8, 1, 3)}
+    # a share's summary keeps the digest of the key of each class it reports
+    # from the split up
+    digests = enumeration._spectrum_share(8, None, 1, 3)[2]
+    assert digests == {enumeration._digest(key) for key, _ in shares[1]}
+    assert len(digests) == len(shares[1])
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -86,20 +89,29 @@ def test_top_classes_do_not_depend_on_the_number_of_shares(starts):
     assert len(starts) == 2 + 4
 
 
-def test_spectrum_nine_on_two_processes(starts):
+def test_spectrum_nine_on_two_processes(starts, capsys):
     # 5,994 classes: the 10-element lattices, OEIS A006966 (Heitzig and
     # Reinhold, "Counting finite lattices", Algebra Universalis 2002)
-    sp = spectrum(9, top=4, jobs=2)
-    assert len(starts) == 1
-    assert sum(sp.witness_totals.values()) == 5994
-    assert len(sp.values) == 89
-    assert [(v, sorted(c.value for c in found)) for v, found in top_values(sp, 4)] == [
+    argv = ["spectrum", "9", "--top", "4", "--witnesses", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == 0 and len(starts) == 1
+    sp = json.loads(out)
+    totals = {int(v): k for v, k in sp["witness_totals"].items()}
+    assert sum(totals.values()) == 5994
+    assert len(sp["values"]) == 89
+    assert [(t["value"], t["classes"]) for t in sp["top"]] == [
         (256, ["Tree"]),
         (224, ["NucleusB4"]),
         (208, ["NucleusN5"]),
         (200, ["NucleusF", "NucleusN6"]),
     ]
-    assert [sp.witness_totals[v] for v in (256, 224, 208, 200)] == [286, 506, 378, 90 + 148]
+    assert [totals[v] for v in (256, 224, 208, 200)] == [286, 506, 378, 90 + 148]
+    # the whole output, witnesses included, on one process and on two
+    assert run(capsys, *argv, "--jobs", "1")[1] == out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "69d9cf90a09dd89fb8c02005009ff040d9d4b4f39b8e6388434dea74e6459d13"
+    )
 
 
 def test_cli_spectrum_output_does_not_depend_on_jobs(starts, capsys):

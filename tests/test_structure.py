@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from conftest import NAMED_POOL, classes
+from slcong import enumeration, structure
 from slcong.congruences import (
     Partition,
     all_meet_congruences_bruteforce,
@@ -8,7 +11,12 @@ from slcong.congruences import (
     quotient,
 )
 from slcong.core import are_isomorphic, attach_above, extend_below, from_covers, named, validate
-from slcong.errors import NotConvexSubsemilattice, NotQuasiTree, SemilatticeError
+from slcong.errors import (
+    InternalInconsistency,
+    NotConvexSubsemilattice,
+    NotQuasiTree,
+    SemilatticeError,
+)
 from slcong.structure import (
     SemilatticeClass,
     classify,
@@ -201,6 +209,45 @@ def test_classify_b4_fixtures():
 def test_classify_requires_two_elements():
     with pytest.raises(SemilatticeError):
         classify(named("chain_1"))
+
+
+@pytest.mark.parametrize(
+    "name, cls",
+    [
+        ("b4", SemilatticeClass.NUCLEUS_B4),
+        ("n5", SemilatticeClass.NUCLEUS_N5),
+        ("f", SemilatticeClass.NUCLEUS_F),
+        ("n6", SemilatticeClass.NUCLEUS_N6),
+    ],
+)
+def test_every_relabeling_gets_its_class_through_the_nucleus_cache(monkeypatch, name, cls):
+    # a quasi-tree whose nucleus sits above an element, so the nucleus is
+    # relabeled from 0 up; each labelled nucleus table is searched once
+    structure._nucleus_class.cache_clear()
+    searched = []
+    real = structure.canonical_key
+    monkeypatch.setattr(structure, "canonical_key", lambda T: searched.append(T.meet) or real(T))
+    S = extend_below(named(name), 1)
+    nuclei = set()
+    for order in itertools.permutations(range(1, S.n)):
+        T = S.relabel((0,) + order)
+        report = classify(T)
+        assert report.semilattice_class == cls, T.meet
+        nuclei.add(T.subsemilattice(report.nucleus)[0].meet)
+    assert sorted(searched) == sorted(nuclei)
+    assert structure._nucleus_class.cache_info().currsize == len(nuclei) > 1
+
+
+def test_a_count_that_contradicts_the_class_is_refused(monkeypatch):
+    # classify and the spectrum's classification of the top values both keep
+    # the check of the count against the class's prediction
+    monkeypatch.setattr(structure, "congruence_count", lambda S: 27)
+    with pytest.raises(InternalInconsistency, match="NucleusB4 predicts 28 congruences, counted 27"):
+        classify(extend_below(named("b4"), 2))
+    real = enumeration.congruence_count
+    monkeypatch.setattr(enumeration, "congruence_count", lambda S: real(S) + 1)
+    with pytest.raises(InternalInconsistency, match=r"predicts \d+ congruences, counted"):
+        enumeration.spectrum(6, top=4, jobs=1)
 
 
 def test_classify_report_invariants():
