@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import congruences, core, enumeration, joinsub, structure, verify
@@ -136,8 +137,10 @@ def cmd_spectrum(args) -> int:
     if args.top is not None:
         top = enumeration.top_values(sp, args.top)
     if args.format == "json":
-        obj = sp.to_obj()
-        if not args.witnesses:
+        if args.witnesses:
+            obj = sp.to_obj()
+        else:  # a copy without witness keys builds no witness table
+            obj = replace(sp, witness_keys={}).to_obj()
             del obj["witnesses"]
         if top is not None:
             obj["top"] = [

@@ -16,31 +16,28 @@ and the child is expanded at once, in the labelling it was built in
 (acceptance does not depend on it), with those generators splitting its
 ideals.  An ideal whose child would fail the (down-set size, up-set size)
 pre-test is dropped before its orbit is listed and before the child is
-built (``_sized_ideals``); a child whose new element lacks the largest
-refinement color is rejected before any search.  The walk yields each
-class as it is found, as the pair of its canonical meet key and the table
-it built, and stores no level.
+built (``_sized_ideals``).  The walk yields each class as it is found, as
+the pair of its canonical meet key and the table it built, and stores no
+level.
 
 Since each class has one parent, the walk splits by subtree into shares:
 the classes with SPLIT_N elements are its roots, and share i of ``jobs``
 walks the subtrees of roots i, i + jobs, ...  ``spectrum``,
-``enumerate_semilattices`` and ``verify.run_claims`` run each share in its
-own process (``_in_shares``; share 0 in the caller's), reduce it there to
-a summary, and merge the summaries; the merge checks that no two shares
-reported the same class (``_check_disjoint``), on the 8-byte digests of
-the meet keys (``_digest``) where the keys are not output.
+``enumerate_semilattices`` and ``verify`` run the shares through one
+runner (``_walk_shares``): each share runs in its own process (share 0 in
+the caller's) and reduces its walk to a summary there.  Each share checks
+for duplicates on the 8-byte digests of the meet keys of the classes it
+reports, and the runner checks that the shares' digest sets are disjoint.
 ``enumerate_semilattices(n)`` sorts the n-element classes' meet keys, and
 ``spectrum`` keeps per-value counts, the least witnesses' keys and the
 classes of the top values, never every class.  The split size was
 measured: at SPLIT_N = 5 two shares of ``spectrum(9)`` hold 3,073 and
 2,921 classes and take about the same time; at 6 they hold 2,771 and 3,223.
 
-Every child the walk makes starts with its down-set and up-set masks,
-taken from its parent's and the ideal (``_extend``), since ``_refine`` and
-its own expansion read them at once.  The walk hands out the child, not
-its canonical form, so counting and ``classify`` read the masks the child
-already has; a canonical form (``_table``) builds its masks from the meet
-table only when a reader asks for them.
+Every child the walk makes starts with the down-set and up-set masks it
+takes from its parent (``_extend``).  The walk hands out the child, not its
+canonical form, so counting and ``classify`` read those masks; a canonical
+form (``_table``) builds its own only when they are read.
 
 ``enumerate_semilattices_bruteforce`` is the independent oracle: plain
 backtracking over labeled order extensions followed by isomorphism
@@ -51,7 +48,7 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -182,14 +179,11 @@ def _accepted_canonical(child: SemilatticeTable) -> tuple[SemilatticeTable, list
     the canonical form (always maximal).  Returns the canonical form and the
     child's automorphism generators, or None.
 
-    The target has the largest refinement color and so the largest (down-set
-    size, up-set size); both are invariant under automorphisms, so a new
-    element without them is rejected before the search.
+    The target has the largest refinement color, which is invariant under
+    automorphisms, so a new element without it is rejected before the
+    search.
     """
     n = child.n
-    sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(child.below_mask, child.above_mask)]
-    if sizes[n - 1] != max(sizes):
-        return None
     colors = _refine(child)
     if colors[n - 1] != max(colors):
         return None
@@ -205,7 +199,9 @@ def _owns(i: int, share: int, jobs: int) -> bool:
     return i % jobs == share
 
 
-def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[tuple[bytes, SemilatticeTable]]:
+def walk(
+    max_n: int, share: int = 0, jobs: int = 1
+) -> Generator[tuple[bytes, SemilatticeTable], None, set[bytes]]:
     """Every class with 1..max_n elements that one share of the walk
     reports, once each, depth-first: a kept child comes before its own
     children.  ``walk(max_n)`` is the whole walk, share 0 of 1.
@@ -221,15 +217,22 @@ def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[tuple[bytes, Sem
     of classes.  Every share walks the classes below SPLIT_N, which only
     share 0 reports, and the subtree of each root it owns (``_owns``).
 
-    A parent is extended only by the ideals whose child passes the size
-    pretest (``_sized_ideals``), one per orbit: the pretest keeps or drops
-    whole Aut(parent)-orbits, so the least ideal of each kept orbit is the
-    one the unfiltered orbit step would pick.
+    A parent is extended by the least ideal of each Aut(parent)-orbit whose
+    child passes the size pretest (``_sized_ideals``), which keeps or drops
+    whole orbits.
 
-    The duplicate check keeps each meet table as bytes, a tenth of the
-    tuples' size (entries stay below 256 in any walk that can finish)."""
+    The duplicate check keeps the digest (``_digest``) of the key of each
+    class the share reports, and the walk returns that set when it ends."""
     seen: set[bytes] = set()
     roots = counter()
+
+    def reported(K: SemilatticeTable) -> bytes:
+        key = _key(K)
+        digest = _digest(key)
+        if digest in seen:
+            raise InternalInconsistency("canonical augmentation produced a duplicate")
+        seen.add(digest)
+        return key
 
     def expand(
         parent: SemilatticeTable, generators: list[list[int]]
@@ -242,19 +245,16 @@ def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[tuple[bytes, Sem
             K, child_generators = kept
             if K.n == SPLIT_N and not _owns(next(roots), share, jobs):
                 continue
-            key = _key(K)
-            if key in seen:
-                raise InternalInconsistency("canonical augmentation produced a duplicate")
-            seen.add(key)
             if share == 0 or K.n >= SPLIT_N:
-                yield key, child
+                yield reported(K), child
             if child.n < max_n:
                 yield from expand(child, child_generators)
 
     if share == 0:
-        yield _key(_ONE), _ONE
+        yield reported(_ONE), _ONE
     if max_n > 1:
         yield from expand(_ONE, [])
+    return seen
 
 
 def _key(S: SemilatticeTable) -> bytes:
@@ -269,11 +269,11 @@ def _table(key: bytes, n: int) -> SemilatticeTable:
 
 
 def _digest(key: bytes) -> bytes:
-    """An 8-byte digest of a meet key, for the cross-share duplicate check.
+    """An 8-byte digest of a meet key, for the duplicate checks of the walk.
 
     ``hash()`` would not do: its seed differs between spawned processes.
-    Two classes with one digest can only raise a false InternalInconsistency
-    in ``_check_disjoint``; an overlap of shares always shows."""
+    Two classes with one digest can only raise a false InternalInconsistency;
+    a duplicate always shows."""
     return blake2b(key, digest_size=8).digest()
 
 
@@ -308,8 +308,8 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
     """``task(*args, share, jobs)`` for every share, in share order.
 
     Share 0 runs in this process and each other share in one of jobs - 1
-    worker processes.  A worker is given only ints and a module-level
-    function, so any start method works.  ``fork`` is taken on Linux when
+    worker processes.  A worker is given only module-level functions and
+    plain data, so any start method works.  ``fork`` is taken on Linux when
     this process runs no other thread, since a forked worker needs no fresh
     interpreter and imports; otherwise ``spawn``, which is also macOS's
     default, forking being unsafe there with the system frameworks.  An
@@ -354,15 +354,34 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
             receive.close()
 
 
-def _check_disjoint(key_sets: Iterable[set[bytes]]) -> None:
-    """Raise InternalInconsistency unless the key sets, one per share of a
-    walk, are pairwise disjoint: no two shares reported the same class.
-    The keys are meet keys or their digests (``_digest``)."""
+def _walked(max_n: int, summarize, args: tuple, share: int, jobs: int) -> tuple:
+    """``summarize(*args, classes)`` of one share's walk, and the digest set
+    the walk returns, which it has only once ``summarize`` has read it all."""
+    digests = None
+
+    def classes():
+        nonlocal digests
+        digests = yield from walk(max_n, share, jobs)
+
+    summary = summarize(*args, classes())
+    if digests is None:
+        raise InternalInconsistency(f"share {share} of {jobs} was summarized before its walk ended")
+    return summary, digests
+
+
+def _walk_shares(max_n: int, jobs: int | None, summarize, args: tuple) -> list:
+    """``summarize(*args, classes)`` of each share of the walk to max_n, in
+    share order (``_in_shares``, ``_shares``); ``summarize`` is a
+    module-level function.  Raises InternalInconsistency unless the shares'
+    digest sets are pairwise disjoint: no two shares reported the same class."""
     seen: set[bytes] = set()
-    for keys in key_sets:
-        if not seen.isdisjoint(keys):
+    summaries = []
+    for summary, digests in _in_shares(_walked, (max_n, summarize, args), _shares(max_n, jobs)):
+        if not seen.isdisjoint(digests):
             raise InternalInconsistency("two shares of the walk reported the same class")
-        seen |= keys
+        seen |= digests
+        summaries.append(summary)
+    return summaries
 
 
 def _check_top(top: int) -> None:
@@ -378,9 +397,9 @@ def _check_bound(n: int, max_n: int | None) -> None:
         raise TooLarge(f"n={n} exceeds enumeration bound {bound}")
 
 
-def _level_keys(n: int, share: int, jobs: int) -> list[bytes]:
-    """The keys of the n-element classes one share of the walk reports."""
-    return [key for key, S in walk(n, share, jobs) if S.n == n]
+def _level_keys(n: int, classes: Iterator) -> list[bytes]:
+    """The keys of the n-element classes among a share's classes."""
+    return [key for key, S in classes if S.n == n]
 
 
 def enumerate_semilattices(
@@ -389,8 +408,7 @@ def enumerate_semilattices(
     """All n-element meet semilattices up to isomorphism, canonical and
     sorted, from the meet keys of every share of the walk."""
     _check_bound(n, max_n)
-    shares = _in_shares(_level_keys, (n,), _shares(n, jobs))
-    _check_disjoint(map(set, shares))
+    shares = _walk_shares(n, jobs, _level_keys, (n,))
     return [_table(key, n) for key in sorted(chain.from_iterable(shares))]
 
 
@@ -495,16 +513,15 @@ class Spectrum:
         }
 
 
-def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
+def _spectrum_share(n: int, top: int | None, classes: Iterator) -> tuple:
     """One share's summary of its n-element classes, streamed from its walk.
 
-    Returns (totals, least, digests, classes): the number of classes of
-    each value, the meet keys of each value's WITNESS_CAP least tables, the
-    digests (``_digest``) of the keys of every class with at least SPLIT_N
-    elements the share reports, and, when ``top`` is given, the classes
-    (``structure.classify``) of every table of the share's own ``top``
-    largest values.  Each class is counted once, on the table the walk
-    built, and the held tables are classified with that count.
+    Returns (totals, least, classes): the number of classes of each value,
+    the meet keys of each value's WITNESS_CAP least tables, and, when
+    ``top`` is given, the classes (``structure.classify``) of every table of
+    the share's own ``top`` largest values.  Each class is counted once, on
+    the table the walk built, and the held tables are classified with that
+    count.
 
     Those are enough for the global top M = ``top``: if v is among the M
     largest values overall, fewer than M values exceed v overall, so fewer
@@ -515,11 +532,8 @@ def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
     """
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
-    digests: set[bytes] = set()
     held: dict[int, list[SemilatticeTable]] = {}
-    for key, S in walk(n, share, jobs):
-        if S.n >= SPLIT_N:
-            digests.add(_digest(key))
+    for key, S in classes:
         if S.n != n:
             continue
         value = congruence_count(S)
@@ -534,11 +548,10 @@ def _spectrum_share(n: int, top: int | None, share: int, jobs: int) -> tuple:
             if len(held) > top:
                 del held[min(held)]
     least = {value: sorted(w)[:WITNESS_CAP] for value, w in least.items()}
-    classes = {
+    return totals, least, {
         value: {_classified(S, value).semilattice_class for S in tables}
         for value, tables in held.items()
     }
-    return totals, least, digests, classes
 
 
 def spectrum(
@@ -551,12 +564,11 @@ def spectrum(
     if top is not None:
         _check_top(top)
     _check_bound(n, max_n)
-    shares = _in_shares(_spectrum_share, (n, top), _shares(n, jobs))
-    _check_disjoint(digests for _, _, digests, _ in shares)
+    shares = _walk_shares(n, jobs, _spectrum_share, (n, top))
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
     classes: dict[int, set[SemilatticeClass]] = {}
-    for share_totals, share_least, _, share_classes in shares:
+    for share_totals, share_least, share_classes in shares:
         for value, k in share_totals.items():
             totals[value] = totals.get(value, 0) + k
         for value, witnesses in share_least.items():
@@ -586,7 +598,7 @@ def top_values(sp: Spectrum, count: int) -> list[tuple[int, frozenset[Semilattic
         noun = "value" if len(values) == 1 else "values"
         raise NotEnoughValues(f"NCsl({sp.n}) has {len(values)} {noun}, fewer than the {count} asked for")
     if len(sp.classes) < count:
-        raise ValueError(
+        raise NotEnoughValues(
             f"NCsl({sp.n}) holds the classes of its {len(sp.classes)} largest values,"
             f" fewer than the {count} asked for"
         )

@@ -11,9 +11,9 @@ what the claim needs to its tally, a ``Counter`` whose entries merge by
 global assertions, such as the exact value sets.
 
 ``run_claims`` walks once for all of them, split by subtree into shares
-(``enumeration._in_shares``): each share tallies its own classes for every
-claim (``_tally``), and the parent merges.  A ``claim_`` function called
-alone tallies a walk of its own, as one share.
+(``enumeration._walk_shares``): each share tallies its own classes for
+every claim (``_tally``), and the parent merges.  A ``claim_`` function
+called alone tallies a walk of its own, as one share.
 """
 
 from __future__ import annotations
@@ -39,15 +39,10 @@ from .core import (
 )
 from .enumeration import (
     DEFAULT_MAX_N,
-    SPLIT_N,
-    _check_disjoint,
-    _digest,
-    _in_shares,
     _oracle_fingerprint,
-    _shares,
     _table,
+    _walk_shares,
     enumerate_semilattices_bruteforce,
-    walk,
 )
 from .errors import TooLarge
 from .joinsub import PartialJoinStructure, congruence_count, verify_duality
@@ -114,26 +109,21 @@ SIZES = {
 }
 
 
-def _tally(caps: dict[str, int], classes) -> tuple[dict, dict, set[bytes]]:
+def _tally(caps: dict[str, int], classes) -> tuple[dict, dict]:
     """Each claim's check step (``_check_<claim>``) over the classes of its
     sizes up to its cap in ``caps``, given as (key, S) pairs as
     ``enumeration.walk`` yields them.
 
     Returns, per claim, its tally, or the exception its check raised, after
-    which it checks no more classes; per claim, the seconds its checks
-    took; and the digests (``enumeration._digest``) of the keys of the
-    classes with at least SPLIT_N elements, for the parent's duplicate
-    check.  Each class is checked by every claim in turn and then dropped,
+    which it checks no more classes; and, per claim, the seconds its checks
+    took.  Each class is checked by every claim in turn and then dropped,
     so no class is held."""
     tallies: dict[str, Counter | Exception] = {c: Counter() for c in caps}
     seconds = dict.fromkeys(caps, 0.0)
-    digests: set[bytes] = set()
     checks = [
         (c, globals()[f"_check_{c}"], range(SIZES[c].start, cap + 1)) for c, cap in caps.items()
     ]
     for key, S in classes:
-        if S.n >= SPLIT_N:
-            digests.add(_digest(key))
         for c, check, sizes in checks:
             if S.n not in sizes or isinstance(tallies[c], Exception):
                 continue
@@ -143,13 +133,7 @@ def _tally(caps: dict[str, int], classes) -> tuple[dict, dict, set[bytes]]:
             except Exception as exc:  # fails this claim only
                 tallies[c] = exc
             seconds[c] += time.perf_counter() - start
-    return tallies, seconds, digests
-
-
-def _verify_share(caps: dict[str, int], share: int, jobs: int) -> tuple[dict, dict, set[bytes]]:
-    """``_tally`` of the classes one share of the walk to the largest cap
-    reports."""
-    return _tally(caps, walk(max(caps.values()), share, jobs))
+    return tallies, seconds
 
 
 def _merged(claim: str, max_n: int, levels: list | None) -> dict:
@@ -159,7 +143,8 @@ def _merged(claim: str, max_n: int, levels: list | None) -> dict:
     claim's own.  A tally that is an exception is raised, the first in
     share order."""
     if levels is None:
-        levels = [_tally({claim: max_n}, walk(max_n))[0][claim]]
+        [(tallies, _)] = _walk_shares(max_n, 1, _tally, ({claim: max_n},))
+        levels = [tallies[claim]]
     merged: dict = {}
     for tally in levels:
         if isinstance(tally, Exception):
@@ -398,10 +383,9 @@ def run_claims(n_max: int, jobs: int | None = None) -> list[ClaimResult]:
     and the walk has the enumeration bound).
 
     The exhaustive claims share one walk, split into ``jobs`` shares as
-    ``enumeration.spectrum`` splits it (``_in_shares``, ``_shares``): each
-    share tallies its own classes (``_verify_share``), the parent checks
-    that no two shares reported the same class, and each ``claim_``
-    function, called here, merges its tallies.  A claim's seconds are its
+    ``enumeration.spectrum`` splits it (``_walk_shares``): each share
+    tallies its own classes (``_tally``), and each ``claim_`` function,
+    called here, merges its tallies.  A claim's seconds are its
     checks' seconds summed over the shares plus those of its own call, and
     a claim that raises, in any share, fails only itself."""
     if n_max < 2:
@@ -409,16 +393,14 @@ def run_claims(n_max: int, jobs: int | None = None) -> list[ClaimResult]:
     if n_max > DEFAULT_MAX_N:
         raise TooLarge(f"n_max={n_max} exceeds enumeration bound {DEFAULT_MAX_N}")
     caps = {c: min(sizes[-1], n_max) for c, sizes in SIZES.items() if sizes.start <= n_max}
-    walked = max(caps.values())
-    shares = _in_shares(_verify_share, (caps,), _shares(walked, jobs))
-    _check_disjoint(digests for _, _, digests in shares)
+    shares = _walk_shares(max(caps.values()), jobs, _tally, (caps,))
     results = []
     for c, name in CLAIMS.items():
         claim = globals()[f"claim_{c}"]  # looked up now, so a tracer's wrapper is the one called
         if c not in SIZES:
             results.append(_run(name, claim))
         elif c in caps:
-            tallies = [share_tallies[c] for share_tallies, _, _ in shares]
-            seconds = sum(share_seconds[c] for _, share_seconds, _ in shares)
+            tallies = [share_tallies[c] for share_tallies, _ in shares]
+            seconds = sum(share_seconds[c] for _, share_seconds in shares)
             results.append(_run(name, claim, caps[c], tallies, seconds=seconds))
     return results

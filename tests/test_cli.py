@@ -301,6 +301,23 @@ def test_spectrum_byte_stable(capsys):
     assert first == second
 
 
+def test_spectrum_json_builds_witness_tables_only_when_printed(capsys, monkeypatch):
+    built = []
+    real = enumeration._table
+
+    def table(key, n):
+        built.append(key)
+        return real(key, n)
+
+    monkeypatch.setattr(enumeration, "_table", table)
+    code, out, _ = run(capsys, "spectrum", "6", "--top", "4", "--format=json")
+    assert code == 0 and "witnesses" not in json.loads(out)
+    assert built == []
+    code, out, _ = run(capsys, "spectrum", "6", "--top", "4", "--witnesses", "--format=json")
+    witnesses = json.loads(out)["witnesses"]
+    assert code == 0 and len(built) == sum(map(len, witnesses.values())) > 0
+
+
 def test_enumerate_stdout(capsys):
     code, out, _ = run(capsys, "enumerate", "4")
     lines = [line for line in out.splitlines() if line]
@@ -375,10 +392,10 @@ def test_verify_below_two_exits_two(capsys, n_max):
 
 @pytest.mark.parametrize("n_max", ["10", "1000000"])
 def test_verify_above_the_enumeration_bound_exits_two(capsys, monkeypatch, n_max):
-    def no_walk(max_n):
+    def no_walk(*args):
         raise AssertionError("walked before the bound was checked")
 
-    monkeypatch.setattr(verify, "walk", no_walk)
+    monkeypatch.setattr(enumeration, "walk", no_walk)
     code, out, err = run(capsys, "verify", n_max)
     assert code == 2 and out == ""
     assert err == f"error: n_max={n_max} exceeds enumeration bound 9\n"

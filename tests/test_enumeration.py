@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import NAMED_POOL, automorphisms, classes, span_order, triangle_square
+from conftest import NAMED_POOL, automorphisms, classes, drained, span_order, triangle_square
 from slcong import enumeration, verify
 from slcong.congruences import is_lattice
 from slcong.core import (
@@ -205,17 +205,19 @@ def test_refine_matches_the_pair_definition(rng):
 
 def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
     # the walk repeats the first 5-element class in place of the last one,
-    # so the class counts still agree and only the pairing can notice
-    real = verify.walk
+    # so the class counts still agree, and returns the digests of the real
+    # walk, so the shares stay disjoint: only the pairing can notice
+    real = enumeration.walk
 
-    def duplicated(max_n):
-        tables = list(real(max_n))
+    def duplicated(*args):
+        tables, digests = drained(real(*args))
         fives = [i for i, (_, S) in enumerate(tables) if S.n == 5]
         tables[fives[-1]] = tables[fives[0]]
-        return iter(tables)
+        yield from tables
+        return digests
 
     assert sum(S.n == 5 for _, S in duplicated(5)) == len(classes(5))
-    monkeypatch.setattr(verify, "walk", duplicated)
+    monkeypatch.setattr(enumeration, "walk", duplicated)
     with pytest.raises(AssertionError, match="matches no unpaired oracle class at n=5"):
         verify.claim_enumeration_oracle(5)
 
@@ -278,28 +280,22 @@ def test_ideals_match_definition(rng):
             assert _joinclosed_downset_masks(T) == _ideals_by_definition(T), T.meet
 
 
-def test_size_pretest_rejects_only_children_the_color_test_rejects(monkeypatch, rng):
-    refined = []
-    real = enumeration._refine
-
-    def refine(S):
-        refined.append(S)
-        return real(S)
-
+def test_size_pretest_rejects_only_children_the_color_test_rejects(rng):
+    # _refine seeds its colors with the (down-set size, up-set size) pairs
+    # and keeps each round's color as the first key of the next, so every
+    # child that fails the pretest, were one built, is rejected anyway
     tables = [S for n in range(1, 7) for S in classes(n)]
-    monkeypatch.setattr(enumeration, "_refine", refine)
-    skipped = 0
+    failed = 0
     for S in tables:
         for T in (S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))):
             for mask in _joinclosed_downset_masks(T):
                 child = _extend(T, mask)
-                refined.clear()
-                accepted = _accepted_canonical(child)
-                if not refined:
-                    skipped += 1
-                    colors = real(child)
-                    assert accepted is None and colors[T.n] != max(colors), child.meet
-    assert skipped > 0
+                if not _passes_size_pretest(child):
+                    failed += 1
+                    colors = _refine(child)
+                    assert _accepted_canonical(child) is None, child.meet
+                    assert colors[T.n] != max(colors), child.meet
+    assert failed > 0
 
 
 def test_accepted_canonical_separates_orbits_of_one_color():

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from conftest import classes
+from conftest import classes, drained
 from slcong import enumeration, errors, verify
 from slcong.cli import main
 from slcong.enumeration import (
@@ -59,15 +59,14 @@ def test_shares_partition_the_walk():
     # every class with n <= 8 is reported by exactly one of three shares;
     # only share 0 reports the classes below the split
     whole = [key for key, _ in walk(8)]
-    shares = [[(key, S.n) for key, S in walk(8, share, 3)] for share in range(3)]
-    assert sorted(whole) == sorted(key for share in shares for key, _ in share)
-    assert all(n >= SPLIT_N for share in shares[1:] for _, n in share)
-    assert all(shares)
-    # a share's summary keeps the digest of the key of each class it reports
-    # from the split up
-    digests = enumeration._spectrum_share(8, None, 1, 3)[2]
-    assert digests == {enumeration._digest(key) for key, _ in shares[1]}
-    assert len(digests) == len(shares[1])
+    shares = [drained(walk(8, share, 3)) for share in range(3)]
+    assert sorted(whole) == sorted(key for pairs, _ in shares for key, _ in pairs)
+    assert all(S.n >= SPLIT_N for pairs, _ in shares[1:] for _, S in pairs)
+    assert all(pairs for pairs, _ in shares)
+    # a share's walk returns the digest of the key of each class it reports
+    for pairs, digests in shares:
+        assert digests == {enumeration._digest(key) for key, _ in pairs}
+        assert len(digests) == len(pairs)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -249,8 +248,32 @@ def test_not_enough_values_leaves_no_worker(starts):
 
 
 def test_top_values_needs_the_classes_of_its_values():
-    with pytest.raises(ValueError, match="its 1 largest values, fewer than the 2"):
+    with pytest.raises(NotEnoughValues, match="its 1 largest values, fewer than the 2"):
         top_values(spectrum(5, top=1), 2)
+
+
+def test_top_values_without_the_classes_of_its_values_exits_two(monkeypatch, capsys):
+    # a spectrum that holds the classes of fewer values than --top asks for
+    # is a refused input (exit 2), not a usage error (exit 3)
+    real = enumeration.spectrum
+    monkeypatch.setattr(enumeration, "spectrum", lambda n, max_n, top, jobs: real(n, top=1))
+    code, out, err = run(capsys, "spectrum", "5", "--top", "2")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: NCsl(5) holds the classes of its 1 largest values, fewer than the 2 asked for\n"
+    )
+
+
+def test_a_summary_that_stops_before_its_walk_ends_is_refused():
+    # the digest set a walk returns exists only once the walk has ended, so
+    # a summary that stops early cannot skip the check that shares are
+    # disjoint
+    message = "share 0 of 1 was summarized before its walk ended"
+    with pytest.raises(InternalInconsistency, match=message):
+        enumeration._walk_shares(6, 1, next, ())
+    assert enumeration._walk_shares(6, 1, lambda pairs: sum(1 for _ in pairs), ()) == [
+        sum(len(classes(n)) for n in range(1, 7))
+    ]
 
 
 def _masked(out):
