@@ -18,7 +18,6 @@ from .errors import (
     InternalInconsistency,
     InvalidTable,
     SemilatticeError,
-    TooLarge,
     UnknownName,
 )
 
@@ -130,8 +129,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.n < 2:
-        raise TooLarge(f"n must be at least 2, got {args.n}")
     sp = enumeration.spectrum(args.n, max_n=args.max_n, top=args.top, jobs=args.jobs)
     top = None
     if args.top is not None:

@@ -25,12 +25,12 @@ the classes with SPLIT_N elements are its roots, and share i of ``jobs``
 walks the subtrees of roots i, i + jobs, ...  ``spectrum``,
 ``enumerate_semilattices`` and ``verify`` run the shares through one
 runner (``_walk_shares``): each share runs in its own process (share 0 in
-the caller's) and reduces its walk to a summary there.  Each share checks
-for duplicates on the 8-byte digests of the meet keys of the classes it
-reports, and the runner checks that the shares' digest sets are disjoint.
+the caller's) and reduces its walk to a summary there, which holds no table.
+The runner merges the shares' sorted 8-byte digests of the meet keys of the
+classes they report, and that is the walk's one duplicate check.
 ``enumerate_semilattices(n)`` sorts the n-element classes' meet keys, and
 ``spectrum`` keeps per-value counts, the least witnesses' keys and the
-classes of the top values, never every class.  The split size was
+classes of the top values, classified as they arrive.  The split size was
 measured: at SPLIT_N = 5 two shares of ``spectrum(9)`` hold 3,073 and
 2,921 classes and take about the same time; at 6 they hold 2,771 and 3,223.
 
@@ -48,10 +48,12 @@ from __future__ import annotations
 
 import os
 import sys
+from array import array
 from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from heapq import merge
+from itertools import chain, pairwise
 from itertools import count as counter
 
 # hashlib.blake2b itself; importing hashlib would also load OpenSSL, about
@@ -201,7 +203,7 @@ def _owns(i: int, share: int, jobs: int) -> bool:
 
 def walk(
     max_n: int, share: int = 0, jobs: int = 1
-) -> Generator[tuple[bytes, SemilatticeTable], None, set[bytes]]:
+) -> Generator[tuple[bytes, SemilatticeTable], None, array]:
     """Every class with 1..max_n elements that one share of the walk
     reports, once each, depth-first: a kept child comes before its own
     children.  ``walk(max_n)`` is the whole walk, share 0 of 1.
@@ -221,17 +223,17 @@ def walk(
     child passes the size pretest (``_sized_ideals``), which keeps or drops
     whole orbits.
 
-    The duplicate check keeps the digest (``_digest``) of the key of each
-    class the share reports, and the walk returns that set when it ends."""
-    seen: set[bytes] = set()
+    The walk returns the sorted digests (``_digest``) of the keys of the
+    classes the share reports, for ``_walk_shares`` to check.  They are kept
+    8 bytes each in 256 arrays by their top byte and sorted one array at a
+    time, never as one list of ints, which would take about 60 bytes each."""
+    buckets = [array("Q") for _ in range(256)]
     roots = counter()
 
     def reported(K: SemilatticeTable) -> bytes:
         key = _key(K)
         digest = _digest(key)
-        if digest in seen:
-            raise InternalInconsistency("canonical augmentation produced a duplicate")
-        seen.add(digest)
+        buckets[digest >> 56].append(digest)
         return key
 
     def expand(
@@ -254,7 +256,10 @@ def walk(
         yield reported(_ONE), _ONE
     if max_n > 1:
         yield from expand(_ONE, [])
-    return seen
+    digests = array("Q")
+    for bucket in buckets:
+        digests.extend(sorted(bucket))
+    return digests
 
 
 def _key(S: SemilatticeTable) -> bytes:
@@ -268,13 +273,13 @@ def _table(key: bytes, n: int) -> SemilatticeTable:
     return SemilatticeTable(tuple(tuple(key[i : i + n]) for i in range(0, n * n, n)))
 
 
-def _digest(key: bytes) -> bytes:
-    """An 8-byte digest of a meet key, for the duplicate checks of the walk.
+def _digest(key: bytes) -> int:
+    """An 8-byte digest of a meet key, for the walk's duplicate check.
 
     ``hash()`` would not do: its seed differs between spawned processes.
     Two classes with one digest can only raise a false InternalInconsistency;
     a duplicate always shows."""
-    return blake2b(key, digest_size=8).digest()
+    return int.from_bytes(blake2b(key, digest_size=8).digest(), "little")
 
 
 def _shares(n: int, jobs: int | None) -> int:
@@ -355,8 +360,8 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
 
 
 def _walked(max_n: int, summarize, args: tuple, share: int, jobs: int) -> tuple:
-    """``summarize(*args, classes)`` of one share's walk, and the digest set
-    the walk returns, which it has only once ``summarize`` has read it all."""
+    """``summarize(*args, classes)`` of one share's walk, and the sorted
+    digests the walk returns once ``summarize`` has read it all."""
     digests = None
 
     def classes():
@@ -372,16 +377,13 @@ def _walked(max_n: int, summarize, args: tuple, share: int, jobs: int) -> tuple:
 def _walk_shares(max_n: int, jobs: int | None, summarize, args: tuple) -> list:
     """``summarize(*args, classes)`` of each share of the walk to max_n, in
     share order (``_in_shares``, ``_shares``); ``summarize`` is a
-    module-level function.  Raises InternalInconsistency unless the shares'
-    digest sets are pairwise disjoint: no two shares reported the same class."""
-    seen: set[bytes] = set()
-    summaries = []
-    for summary, digests in _in_shares(_walked, (max_n, summarize, args), _shares(max_n, jobs)):
-        if not seen.isdisjoint(digests):
-            raise InternalInconsistency("two shares of the walk reported the same class")
-        seen |= digests
-        summaries.append(summary)
-    return summaries
+    module-level function.  The walk's one duplicate check: two equal
+    neighbours in the merge of the shares' sorted digests, a class reported
+    twice by one share or by two, raise InternalInconsistency."""
+    shares = _in_shares(_walked, (max_n, summarize, args), _shares(max_n, jobs))
+    if any(a == b for a, b in pairwise(merge(*(digests for _, digests in shares)))):
+        raise InternalInconsistency("the walk reported a class twice")
+    return [summary for summary, _ in shares]
 
 
 def _check_top(top: int) -> None:
@@ -520,19 +522,19 @@ def _spectrum_share(n: int, top: int | None, classes: Iterator) -> tuple:
     the meet keys of each value's WITNESS_CAP least tables, and, when
     ``top`` is given, the classes (``structure.classify``) of every table of
     the share's own ``top`` largest values.  Each class is counted once, on
-    the table the walk built, and the held tables are classified with that
-    count.
+    the table the walk built, and classified with that count as it arrives
+    when its value is among the ``top`` largest the share has seen so far.
 
     Those are enough for the global top M = ``top``: if v is among the M
     largest values overall, fewer than M values exceed v overall, so fewer
     than M of a share's values exceed v, and every share that attains v has
-    it among its own M largest.  Only the tables of the current M largest
-    values are held; a value dropped from them never returns, since the M
-    values above it stay.
+    it among its own M largest, and so among its running M largest whenever
+    one of its classes arrives.  A value dropped from the running M largest
+    never returns, since the M values above it stay.
     """
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
-    held: dict[int, list[SemilatticeTable]] = {}
+    found: dict[int, set[SemilatticeClass]] = {}
     for key, S in classes:
         if S.n != n:
             continue
@@ -543,15 +545,12 @@ def _spectrum_share(n: int, top: int | None, classes: Iterator) -> tuple:
         if len(witnesses) > 2 * WITNESS_CAP:
             witnesses.sort()
             del witnesses[WITNESS_CAP:]
-        if top is not None:
-            held.setdefault(value, []).append(S)
-            if len(held) > top:
-                del held[min(held)]
+        if top is not None and (value in found or len(found) < top or value > min(found)):
+            found.setdefault(value, set()).add(_classified(S, value).semilattice_class)
+            if len(found) > top:
+                del found[min(found)]
     least = {value: sorted(w)[:WITNESS_CAP] for value, w in least.items()}
-    return totals, least, {
-        value: {_classified(S, value).semilattice_class for S in tables}
-        for value, tables in held.items()
-    }
+    return totals, least, found
 
 
 def spectrum(
@@ -560,7 +559,10 @@ def spectrum(
     """Exact congruence-count spectrum, merged from the summaries of the
     shares of one walk (``_spectrum_share``), with the classes of the
     ``top`` largest values when ``top`` is given.  Only the summaries are
-    held here, never every class."""
+    held here, never every class.  NCsl(n) needs n >= 2; n, then ``top``,
+    then the bound are checked before the walk."""
+    if n < 2:
+        raise TooLarge(f"n must be at least 2, got {n}")
     if top is not None:
         _check_top(top)
     _check_bound(n, max_n)

@@ -283,14 +283,16 @@ def test_spectrum_top_above_the_value_count_exits_two(capsys):
 
 @pytest.mark.parametrize("argv", [["1"], ["0"], ["1", "--top", "1"]])
 def test_spectrum_below_two_checked_before_spectrum(capsys, monkeypatch, argv):
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("spectrum computed before n was checked")
+    # enumeration.spectrum checks n before it walks
+    def no_walk(*args, **kwargs):
+        raise AssertionError("spectrum walked before n was checked")
 
-    monkeypatch.setattr(enumeration, "spectrum", no_spectrum)
+    monkeypatch.setattr(enumeration, "_in_shares", no_walk)
     code, out, err = run(capsys, "spectrum", *argv)
     assert code == 2 and out == ""
     assert err == f"error: n must be at least 2, got {argv[0]}\n"
     # a one-element semilattice is still enumerable
+    monkeypatch.undo()
     code, out, _ = run(capsys, "enumerate", "1")
     assert code == 0 and json.loads(out) == {"meet": [[0]], "n": 1}
 

@@ -109,8 +109,8 @@ def test_walk_refuses_a_duplicated_class(monkeypatch):
         return found
 
     monkeypatch.setattr(enumeration, "_accepted_canonical", accepted)
-    with pytest.raises(InternalInconsistency, match="duplicate"):
-        list(walk(3))
+    with pytest.raises(InternalInconsistency, match="the walk reported a class twice"):
+        enumerate_semilattices(3)
     assert len(kept) == 2
 
 
@@ -442,6 +442,18 @@ def test_top_values_n5():
         (13, {"NucleusN5"}),
         (12, {"Other"}),
     ]
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_spectrum_refuses_n_below_two_before_walking(monkeypatch, n):
+    # NCsl(n) is defined for n >= 2; n is checked before top and the bound
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before n was checked")
+
+    monkeypatch.setattr(enumeration, "_in_shares", no_walk)
+    for top in (None, 0, 1):
+        with pytest.raises(TooLarge, match=f"n must be at least 2, got {n}"):
+            spectrum(n, top=top, max_n=0)
 
 
 @pytest.mark.parametrize("top", [0, -1])

@@ -13,6 +13,7 @@ import pickle
 import re
 import sys
 import threading
+from array import array
 
 import pytest
 
@@ -63,9 +64,11 @@ def test_shares_partition_the_walk():
     assert sorted(whole) == sorted(key for pairs, _ in shares for key, _ in pairs)
     assert all(S.n >= SPLIT_N for pairs, _ in shares[1:] for _, S in pairs)
     assert all(pairs for pairs, _ in shares)
-    # a share's walk returns the digest of the key of each class it reports
+    # a share's walk returns the digest of the key of each class it reports,
+    # sorted, one per class
     for pairs, digests in shares:
-        assert digests == {enumeration._digest(key) for key, _ in pairs}
+        assert isinstance(digests, array) and digests.typecode == "Q"
+        assert list(digests) == sorted(enumeration._digest(key) for key, _ in pairs)
         assert len(digests) == len(pairs)
 
 
@@ -188,18 +191,67 @@ def test_jobs_below_one_exit_two(capsys, jobs):
 
 
 def test_two_shares_on_one_root_are_refused(starts, monkeypatch, capsys):
-    # both shares walk root 0; each keeps its own duplicate check, so only
-    # the parent's check of the key sets can see it
+    # both shares walk root 0, each reporting its classes once, so only the
+    # check of the merged digests can see it
     real = enumeration._owns
     monkeypatch.setattr(enumeration, "_owns", lambda i, share, jobs: i == 0 or real(i, share, jobs))
-    with pytest.raises(InternalInconsistency, match="two shares"):
+    with pytest.raises(InternalInconsistency, match="the walk reported a class twice"):
         spectrum(7, jobs=2)
-    with pytest.raises(InternalInconsistency, match="two shares"):
+    with pytest.raises(InternalInconsistency, match="the walk reported a class twice"):
         enumerate_semilattices(7, jobs=2)
     code, out, err = run(capsys, "spectrum", "7", "--jobs", "2")
     assert code == 1 and out == ""
-    assert err == "internal inconsistency: two shares of the walk reported the same class\n"
+    assert err == "internal inconsistency: the walk reported a class twice\n"
     assert len(starts) == 3
+
+
+def test_a_class_reported_twice_inside_a_worker_is_refused(starts, monkeypatch, capsys):
+    # in the worker's share, every 7-element class after the first is
+    # reported as the first one; 7 is the last size, so none is extended
+    parent = os.getpid()
+    real = enumeration._accepted_canonical
+    kept = []
+
+    def accepted(child):
+        found = real(child)
+        if found is not None and child.n == 7 and os.getpid() != parent:
+            kept.append(found)
+            return kept[0]
+        return found
+
+    monkeypatch.setattr(enumeration, "_accepted_canonical", accepted)
+    code, out, err = run(capsys, "spectrum", "7", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err == "internal inconsistency: the walk reported a class twice\n"
+    assert len(starts) == 1
+    assert kept == []  # only the worker reported a class twice
+
+
+def test_spectrum_classifies_each_class_of_a_running_top_value_once(monkeypatch):
+    # 440 classes attain the final four largest values at n = 8; 6 more
+    # arrive while their value is still among the running four largest
+    calls = []
+    real = enumeration._classified
+
+    def counted(S, value):
+        calls.append(value)
+        return real(S, value)
+
+    monkeypatch.setattr(enumeration, "_classified", counted)
+    sp = spectrum(8, top=4, jobs=1)
+    assert len(calls) == 446
+    largest = sorted(sp.values)[-4:]
+    assert sum(value in largest for value in calls) == sum(sp.witness_totals[v] for v in largest)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_no_share_summary_holds_a_table(starts, jobs):
+    # a share's summary holds counts, keys and classes; its tables were
+    # dropped as the walk went on
+    summaries = enumeration._walk_shares(7, jobs, enumeration._spectrum_share, (7, 4))
+    summaries += enumeration._walk_shares(7, jobs, enumeration._level_keys, (7,))
+    assert len(summaries) == 2 * jobs and len(starts) == 2 * (jobs - 1)
+    assert not any(b"SemilatticeTable" in pickle.dumps(summary) for summary in summaries)
 
 
 @pytest.mark.parametrize("where", ["worker", "parent"])
@@ -318,11 +370,11 @@ def test_verify_check_that_raises_in_a_worker_fails_only_its_own_claim(starts, m
 def test_verify_refuses_two_shares_on_one_root(starts, monkeypatch, capsys):
     real = enumeration._owns
     monkeypatch.setattr(enumeration, "_owns", lambda i, share, jobs: i == 0 or real(i, share, jobs))
-    with pytest.raises(InternalInconsistency, match="two shares"):
+    with pytest.raises(InternalInconsistency, match="the walk reported a class twice"):
         verify.run_claims(6, jobs=2)
     code, out, err = run(capsys, "verify", "6", "--jobs", "2")
     assert code == 1 and out == ""
-    assert err == "internal inconsistency: two shares of the walk reported the same class\n"
+    assert err == "internal inconsistency: the walk reported a class twice\n"
     assert len(starts) == 2
 
 
