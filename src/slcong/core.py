@@ -435,15 +435,29 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 # ---------------------------------------------------------------------------
 # Isomorphism and canonical forms.
 #
-# The canonical search first partitions the elements by an iterated
-# invariant refinement (seeded with down-set size and up-set size, then
-# refined by the multiset of (color(z), color(x^z)) pairs).  The isomorphism
-# oracle colors by (down-set size, up-set size) alone, so it shares no
-# refinement with the canonical search.  Because the first component is the
-# down-set size in both, color order is a linear extension: anything
-# strictly below x gets a strictly smaller color than x.  Each round keeps
-# the previous color as the first sort key, so the largest color class lies
-# inside the class of the largest (down-set size, up-set size) seed.
+# The canonical search colors each element by the rank of its (down-set
+# size, up-set size) pair (``_colors``) and tries only the labelings that
+# place the color classes in ascending order, each class in any order.  A
+# labeling's certificate is its relabeled table below the diagonal, row by
+# row, and the canonical form is the table of the least certificate.  That
+# form is canonical:
+#   - Color is invariant under isomorphism: an isomorphism maps ↓x onto the
+#     down-set of the image of x and ↑x onto its up-set, so the image has
+#     x's pair, and isomorphic tables rank the same multiset of pairs.  So
+#     composing with an isomorphism S -> T maps the color-consistent
+#     labelings of T onto those of S with the same certificates: isomorphic
+#     tables have the same set of certificates, and the same least one.
+#   - A certificate determines its table, which is isomorphic to S through
+#     the labeling, so tables with one canonical form are isomorphic.
+# Because the first component is the down-set size, color order is a
+# linear extension: anything strictly below x has a smaller down-set, so a
+# strictly smaller color.  The last position holds an element with the
+# largest down-set, which is maximal, so the deletion target of
+# ``enumeration`` is a maximal element.
+#
+# The isomorphism oracle ``_iso_search`` starts from the same invariant,
+# the (down-set size, up-set size) pairs, but computes it itself and shares
+# no code with the canonical search.
 #
 # Besides the canonical certificate, the search returns generators of
 # Aut(S): best⁻¹ ∘ pos_of for every leaf whose certificate equals the best
@@ -469,27 +483,12 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 # ---------------------------------------------------------------------------
 
 
-def _refine(S: SemilatticeTable) -> list[int]:
-    """The refinement colors.  Colors are below n, so the pair (color(z),
-    color(x^z)) is sorted as the int color(z)·n + color(x^z), in the same
-    order.  A discrete coloring is returned at once, since no round can
-    split it further."""
-    n = S.n
-    bm, am = S.below_mask, S.above_mask
-    keys = [(b.bit_count(), a.bit_count()) for b, a in zip(bm, am)]
-    while True:
-        uniq = sorted(set(keys))
-        index = {k: i for i, k in enumerate(uniq)}
-        color = [index[k] for k in keys]
-        if len(uniq) == n:
-            return color
-        scaled = [c * n for c in color]
-        keys = [
-            (c, tuple(sorted([s + color[m] for s, m in zip(scaled, row)])))
-            for c, row in zip(color, S.meet)
-        ]
-        if len(set(keys)) == len(uniq):
-            return color
+def _colors(S: SemilatticeTable) -> list[int]:
+    """The color of each element: the rank of its (down-set size, up-set
+    size) pair among the distinct pairs of S."""
+    keys = [(b.bit_count(), a.bit_count()) for b, a in zip(S.below_mask, S.above_mask)]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
 
 
 def _orbit(points: list[int], generators: list[list[int]]) -> int:
@@ -508,15 +507,15 @@ def _orbit(points: list[int], generators: list[list[int]]) -> int:
     return mask
 
 
-def _canonical_search(S: SemilatticeTable, colors: list[int] | None = None):
-    """Lexicographically least relabeling consistent with the color classes.
+def _canonical_search(S: SemilatticeTable):
+    """Lexicographically least relabeling consistent with the color classes
+    (``_colors``).
 
     Returns (rows, perm, generators): rows is the canonical certificate (row
     p holds the positions of the meets of the element placed at p with
     positions 0..p-1), perm maps element -> position, and generators are
     automorphisms of S, each a list g with g[x] the image of x, that
-    generate the whole automorphism group.  ``colors`` is ``_refine(S)``
-    when the caller already has it.
+    generate the whole automorphism group.
 
     Each generator comes from a leaf whose certificate equals the best one,
     and prunes the search: by a backjump to the first depth where that leaf
@@ -526,7 +525,7 @@ def _canonical_search(S: SemilatticeTable, colors: list[int] | None = None):
     """
     n = S.n
     meet = S.meet
-    color = _refine(S) if colors is None else colors
+    color = _colors(S)
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(color[x], []).append(x)
@@ -586,16 +585,12 @@ def canonical_key(S: SemilatticeTable):
     return _canonical_search(S)[0]
 
 
-def canonical_with_perm(
-    S: SemilatticeTable, colors: list[int] | None = None
-) -> tuple[SemilatticeTable, list[int], list[list[int]]]:
+def canonical_with_perm(S: SemilatticeTable) -> tuple[SemilatticeTable, list[int], list[list[int]]]:
     """Canonical form of S, the map element -> position into it, and
     generators of Aut(S), each a list g with g[x] the image of x (none when
-    the group is trivial), all from one search.
-
-    ``colors`` is ``_refine(S)`` when the caller already has it.
-    """
-    rows, perm, generators = _canonical_search(S, colors)
+    the group is trivial), all from one search.  Its last position holds a
+    maximal element of largest down-set."""
+    rows, perm, generators = _canonical_search(S)
     n = S.n
     meet = tuple(
         row + (p,) + tuple([rows[q][p] for q in range(p + 1, n)]) for p, row in enumerate(rows)

@@ -391,10 +391,10 @@ def test_isomorphism_oracle_runs_without_the_canonical_refinement(monkeypatch):
     from slcong import core
     from slcong.enumeration import enumerate_semilattices_bruteforce
 
-    def refine(*args, **kwargs):
-        raise AssertionError("the isomorphism oracle ran the canonical refinement")
+    def colors(*args, **kwargs):
+        raise AssertionError("the isomorphism oracle ran the canonical search's colors")
 
-    monkeypatch.setattr(core, "_refine", refine)
+    monkeypatch.setattr(core, "_colors", colors)
     n5 = named("n5")
     assert are_isomorphic(n5, n5.relabel([0, 3, 1, 4, 2]))
     assert not are_isomorphic(n5, named("m3"))

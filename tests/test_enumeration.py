@@ -7,7 +7,7 @@ from conftest import NAMED_POOL, automorphisms, classes, drained, span_order, tr
 from slcong import enumeration, verify
 from slcong.congruences import is_lattice
 from slcong.core import (
-    _refine,
+    _colors,
     are_isomorphic,
     canonical_form,
     canonical_with_perm,
@@ -53,7 +53,7 @@ def test_walk_yields_each_class_once():
         assert [S.meet for S in classes(n)] == [_table(key, n).meet for key in sorted(level)]
 
 
-def test_walk_pairs_each_key_with_the_class_it_built():
+def test_walk_pairs_each_key_with_the_class_it_built(rng):
     # S is the walk's own labelling of the class, with the masks it took
     # from its parent; key is its canonical form's
     relabeled = 0
@@ -61,6 +61,9 @@ def test_walk_pairs_each_key_with_the_class_it_built():
         assert (S.below_mask, S.above_mask) == _masks_by_definition(S)
         assert canonical_form(S).meet == _table(key, S.n).meet
         relabeled += _table(key, S.n) != S
+        # the deletion target, placed last, is maximal in any labelling
+        T = S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))
+        assert canonical_with_perm(T)[1].index(S.n - 1) in T.maximal_elements, T.meet
     assert relabeled > 0
 
 
@@ -120,12 +123,13 @@ def test_eight_element_count():
 
 
 def test_eight_element_canonical_forms_are_pinned():
-    # the sha256 of every canonical meet table at n = 8, in output order, as
-    # the walk produced them before tables carried their masks
+    # the sha256 of every canonical meet table at n = 8, in output order:
+    # the least certificates over the labelings that order the elements by
+    # the rank of (down-set size, up-set size)
     rows = json.dumps([S.meet for S in classes(8)]).encode()
     assert (
         hashlib.sha256(rows).hexdigest()
-        == "f3a33609c75ff282f2954eee89e926d30d41951f9a11d2c819c8670cc56c0d3e"
+        == "b77ce910e05b1eef312b3f96fdf75a5a3b77ee2e3725156badfaacbe801a6f25"
     )
 
 
@@ -138,7 +142,7 @@ def test_canonical_search_generators_are_pinned():
     assert sum(map(len, generators)) == 1274
     assert (
         hashlib.sha256(json.dumps(generators).encode()).hexdigest()
-        == "371cb169498b5171e67acbef181ea965106b3b2161ba05492f7cbba331c38b5b"
+        == "016639a76a48d102eff275d7254f4d37635e8a2a760916d5884ce6e679e10d43"
     )
 
 
@@ -173,34 +177,6 @@ def test_extend_refuses_an_ideal_that_is_not_join_closed():
     # principal down-set
     with pytest.raises(InternalInconsistency, match=r"ideal \{0, 1, 2\}"):
         _extend(named("b4"), 0b0111)
-
-
-def _refine_by_pairs(T):
-    """The refinement colors by their definition: seeded with (down-set size,
-    up-set size), refined by the sorted (color(z), color(x^z)) pairs until no
-    class splits."""
-    meet = T.meet
-    rng_n = range(T.n)
-    keys = [
-        (sum(meet[z][x] == z for z in rng_n), sum(meet[x][z] == x for z in rng_n))
-        for x in rng_n
-    ]
-    while True:
-        uniq = sorted(set(keys))
-        color = [uniq.index(k) for k in keys]
-        keys = [
-            (color[x], tuple(sorted((color[z], color[meet[x][z]]) for z in rng_n)))
-            for x in rng_n
-        ]
-        if len(set(keys)) == len(uniq):
-            return color
-
-
-def test_refine_matches_the_pair_definition(rng):
-    for n in range(1, 8):
-        for S in classes(n):
-            for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
-                assert _refine(T) == _refine_by_pairs(T), T.meet
 
 
 def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
@@ -281,26 +257,30 @@ def test_ideals_match_definition(rng):
 
 
 def test_size_pretest_rejects_only_children_the_color_test_rejects(rng):
-    # _refine seeds its colors with the (down-set size, up-set size) pairs
-    # and keeps each round's color as the first key of the next, so every
-    # child that fails the pretest, were one built, is rejected anyway
+    # the colors rank the (down-set size, up-set size) pairs and the deletion
+    # target has the largest, so every child that fails the pretest, were
+    # one built, is rejected anyway; and every child the walk builds has its
+    # new element in the largest color class, so no color test is needed
     tables = [S for n in range(1, 7) for S in classes(n)]
     failed = 0
     for S in tables:
         for T in (S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))):
+            sized = _sized_ideals(T)
             for mask in _joinclosed_downset_masks(T):
                 child = _extend(T, mask)
+                colors = _colors(child)
                 if not _passes_size_pretest(child):
                     failed += 1
-                    colors = _refine(child)
                     assert _accepted_canonical(child) is None, child.meet
                     assert colors[T.n] != max(colors), child.meet
+                if mask in sized:
+                    assert colors[T.n] == max(colors), child.meet
     assert failed > 0
 
 
 def test_accepted_canonical_separates_orbits_of_one_color():
-    # color refinement cannot tell the triangle's edges from the square's,
-    # so only the orbit test decides
+    # the colors cannot tell the triangle's edges from the square's, so
+    # only the orbit test decides
     S = triangle_square()
     n = S.n
     accepted = []
@@ -308,7 +288,7 @@ def test_accepted_canonical_separates_orbits_of_one_color():
         perm = list(range(n))
         perm[new], perm[n - 1] = n - 1, new
         child = S.relabel(perm)
-        colors = _refine(child)
+        colors = _colors(child)
         assert colors[n - 1] == max(colors)
         accepted.append(_accepted_canonical(child) is not None)
     assert sorted(accepted) == [False, True]

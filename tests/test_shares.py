@@ -112,7 +112,7 @@ def test_spectrum_nine_on_two_processes(starts, capsys):
     assert run(capsys, *argv, "--jobs", "1")[1] == out
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "69d9cf90a09dd89fb8c02005009ff040d9d4b4f39b8e6388434dea74e6459d13"
+        == "fb11a39f1df7fc8de6128afff7fd9902c8ad8828eb6b88da25a66a6a9ca6d773"
     )
 
 
