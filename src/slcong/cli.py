@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import congruences, core, enumeration, joinsub, structure, verify
@@ -129,15 +128,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    sp = enumeration.spectrum(args.n, max_n=args.max_n, top=args.top, jobs=args.jobs)
+    sp = enumeration.spectrum(
+        args.n, max_n=args.max_n, top=args.top, jobs=args.jobs, witnesses=args.witnesses
+    )
     top = None
     if args.top is not None:
         top = enumeration.top_values(sp, args.top)
     if args.format == "json":
-        if args.witnesses:
-            obj = sp.to_obj()
-        else:  # a copy without witness keys builds no witness table
-            obj = replace(sp, witness_keys={}).to_obj()
+        obj = sp.to_obj()
+        if not args.witnesses:  # none were collected
             del obj["witnesses"]
         if top is not None:
             obj["top"] = [

@@ -16,10 +16,39 @@ kept child is expanded at once, in the labelling it was built in
 (acceptance does not depend on it), with those generators splitting its
 ideals.  An ideal whose child would not put its new element in its largest
 (down-set size, up-set size) color class is dropped before its orbit is
-listed and before the child is built (``_sized_ideals``), so the orbit test
-alone rejects children: 574 of the 7,944 searched at n <= 9.  The walk
-yields each class as it is found, as the pair of its canonical meet key and
-the table it built, and stores no level.
+listed and before the child is built (``_Parent.sized_ideals``), so the
+orbit test alone rejects children: 574 of the 7,944 searched at n <= 9.  The
+walk yields each class as it is found, as the triple of its canonical meet
+key, the table it built and its congruence count, and stores no level.
+
+The walk counts each class from its parent, by the augmentation recurrence.
+Let S' be S with a new maximal element m above the join-closed ideal I, and
+call {a, b} ⊆ I \\ {0} a *new pair* when a and b have no common upper bound
+in S.  Then
+
+    |Con S'| = |Con S| + #{join-closed X ⊆ S+ that hold no new pair}.
+
+By the duality (``joinsub``) both counts are numbers of join-closed subsets,
+of S'+ and S+, and the UBTAs of S' are those of S plus the new pairs:
+
+- m is in no UBTA, since it is maximal, so its only upper bound is itself.
+- An old UBTA {a, b} keeps its join v: when a and b lie in I, v does too, as
+  I is join-closed, and v <= m.
+- A new pair is a UBTA of S' with join m, its only upper bound.
+
+So a join-closed subset of S'+ that holds m is a join-closed X of S+ plus m,
+and one that does not is a join-closed X of S+ that holds no new pair.  Each
+parent makes one kernel pass over its join-closed subsets (``_Parent``):
+its ideals and |Con S| are read off it, and each new pair of a child narrows
+it as one clause.  With no new pair the child's count is exactly 2·|Con S|,
+with no scan; with one, S+ itself is join-closed and holds it, so
+
+    |Con S'| <= 2·|Con S|, with equality exactly when I holds no new pair,
+
+and by induction |Con S| <= 2^(n-1).  The recurrence was checked against
+``count()`` on all 7,371 classes with n <= 9.  A class that is extended has
+its count twice, carried from its parent and from its own pass, and the
+walk refuses the two when they differ.
 
 Since each class has one parent, the walk splits by subtree into shares:
 the classes with SPLIT_N elements are its roots, and share i of ``jobs``
@@ -37,8 +66,8 @@ measured: at SPLIT_N = 5 two shares of ``spectrum(9)`` hold 3,073 and
 
 Every child the walk makes starts with the down-set and up-set masks it
 takes from its parent (``_extend``).  The walk hands out the child, not its
-canonical form, so counting and ``classify`` read those masks; a canonical
-form (``_table``) builds its own only when they are read.
+canonical form, so ``classify`` and the walk's own pass read those masks; a
+canonical form (``_table``) builds its own only when they are read.
 
 ``enumerate_semilattices_bruteforce`` is the independent oracle: plain
 backtracking over labeled order extensions followed by isomorphism
@@ -73,7 +102,7 @@ from .core import (
     validate,
 )
 from .errors import InternalInconsistency, NotEnoughValues, TooLarge
-from .joinsub import PartialJoinStructure, congruence_count
+from .joinsub import PartialJoinStructure
 from .structure import SemilatticeClass, _classified
 
 DEFAULT_MAX_N = 9
@@ -84,19 +113,6 @@ SPLIT_N = 5
 SPLIT_ROOTS = 15  # the classes with SPLIT_N elements, OEIS A006966
 
 _ONE = SemilatticeTable(((0,),))
-
-
-def _joinclosed_downset_masks(S: SemilatticeTable) -> list[int]:
-    """Down-sets of S containing 0 and closed under existing joins, ascending.
-
-    These are exactly the subsets a new maximal element can sit above while
-    keeping all meets defined.  Over the bits of S+, a down-set is a subset
-    in which each element x needs each of its lower covers c != 0, and join
-    closure is the UBTA clauses of ``PartialJoinStructure``.
-    """
-    needs = tuple((1 << (x - 1), 1 << (c - 1)) for c, x in S.covers if c)
-    masks = kernels.list_join_closed(S.n - 1, needs + PartialJoinStructure(S).clauses)
-    return [(mask << 1) | 1 for mask in masks]
 
 
 def _extend(S: SemilatticeTable, ideal_mask: int) -> SemilatticeTable:
@@ -128,6 +144,72 @@ def _extend(S: SemilatticeTable, ideal_mask: int) -> SemilatticeTable:
     )
 
 
+class _Parent:
+    """A class the walk extends, with its one kernel pass.
+
+    ``alive`` holds the blocks (``kernels._alive_blocks``) of the subsets
+    of S+ that violate no UBTA clause of ``PartialJoinStructure``, the
+    join-closed subsets, and ``count``, their number, is |Con S|.  The
+    ideals S is extended by and the counts of its children are read off
+    that pass (``ideals``, ``child_count``); a wider S, n - 1 > BLOCK_BITS,
+    has more blocks and takes the same path.
+    """
+
+    def __init__(self, S: SemilatticeTable):
+        self.S = S
+        self.alive = list(kernels._alive_blocks(S.n - 1, PartialJoinStructure(S).clauses))
+        self.count = sum(alive.bit_count() for _, alive in self.alive)
+        above = S.above_mask
+        # the pairs {a, b} of S+ with no common upper bound, as element masks
+        self.unbounded = [
+            (1 << a) | (1 << b)
+            for a in range(1, S.n)
+            for b in range(a + 1, S.n)
+            if not above[a] & above[b]
+        ]
+
+    def ideals(self) -> list[int]:
+        """Down-sets of S containing 0 and closed under existing joins, ascending.
+
+        These are exactly the subsets a new maximal element can sit above
+        while keeping all meets defined.  Over the bits of S+, a down-set is
+        a subset in which each element x needs each of its lower covers
+        c != 0, clauses that narrow the join-closed subsets of the pass.
+        """
+        needs = [(1 << (x - 1), 1 << (c - 1)) for c, x in self.S.covers if c]
+        masks = kernels._listed(kernels._kept(self.S.n - 1, self.alive, needs))
+        return [(mask << 1) | 1 for mask in masks]
+
+    def sized_ideals(self) -> list[int]:
+        """The ideals I whose child puts its new element in its largest
+        color class (``core._colors``), which holds the deletion target of
+        ``_accepted_canonical``, read off S's masks and I, ascending.
+
+        The new element's (down-set size, up-set size) is (|I| + 1, 1).  An
+        old element x keeps its down-set, and its up-set grows only when x
+        is in I, where |↓x| <= |I|.  So an x with |↓x| > |I| + 1 beats the
+        new element, and an x with |↓x| = |I| + 1 lies outside I and either
+        ties with it at (|I| + 1, 1), when x is maximal, or lies below some
+        y with a larger down-set still.  Hence I is kept iff |I| + 1 is at
+        least the largest down-set size of S, which Aut(S) keeps, as it
+        keeps |I| along I's orbit, so the test keeps or drops whole orbits.
+        """
+        least = max(b.bit_count() for b in self.S.below_mask) - 1
+        return [mask for mask in self.ideals() if mask.bit_count() >= least]
+
+    def child_count(self, ideal: int) -> int:
+        """|Con| of ``_extend(S, ideal)`` by the augmentation recurrence (see
+        the module docstring): ``count`` plus the join-closed subsets of S+
+        that hold no new pair, a pair of the ideal with no common upper
+        bound in S.  Each new pair narrows the pass as a clause with an
+        empty join, and with no new pair the count is 2·|Con S|."""
+        new = [(pair >> 1, 0) for pair in self.unbounded if pair & ideal == pair]
+        if not new:
+            return 2 * self.count
+        narrowed = kernels._kept(self.S.n - 1, self.alive, new)
+        return self.count + sum(alive.bit_count() for _, alive in narrowed)
+
+
 def _mask_orbit(mask: int, images: list[list[int]]) -> set[int]:
     """The orbit of a subset (a bitmask) under the group spanned by some
     automorphisms, each given by its image table [1 << g[x] for x]."""
@@ -143,23 +225,6 @@ def _mask_orbit(mask: int, images: list[list[int]]) -> set[int]:
                 orbit.add(img)
                 todo.append(img)
     return orbit
-
-
-def _sized_ideals(S: SemilatticeTable) -> list[int]:
-    """The join-closed down-sets I of S whose child puts its new element in
-    its largest color class (``core._colors``), which holds the deletion
-    target of ``_accepted_canonical``, read off S's masks and I, ascending.
-
-    The new element's (down-set size, up-set size) is (|I| + 1, 1).  An old
-    element x keeps its down-set, and its up-set grows only when x is in I,
-    where |↓x| <= |I|.  So an x with |↓x| > |I| + 1 beats the new element,
-    and an x with |↓x| = |I| + 1 lies outside I and either ties with it at
-    (|I| + 1, 1), when x is maximal, or lies below some y with a larger
-    down-set still.  Hence I is kept iff |I| + 1 is at least the largest
-    down-set size of S, which Aut(S) keeps, as it keeps |I| along I's
-    orbit, so the test keeps or drops whole orbits."""
-    least = max(b.bit_count() for b in S.below_mask) - 1
-    return [mask for mask in _joinclosed_downset_masks(S) if mask.bit_count() >= least]
 
 
 def _orbit_representatives(masks: list[int], generators: list[list[int]]) -> list[int]:
@@ -184,8 +249,8 @@ def _accepted_canonical(child: SemilatticeTable) -> tuple[SemilatticeTable, list
     child's automorphism generators, or None.
 
     The walk builds only children whose new element has the target's color
-    (``_sized_ideals``), so every child it tests is searched, and the orbit
-    test alone decides: it rejects 574 of the 7,944 children at n <= 9.
+    (``_Parent.sized_ideals``), so every child it tests is searched, and the
+    orbit test alone decides: it rejects 574 of the 7,944 children at n <= 9.
     """
     n = child.n
     K, perm, generators = canonical_with_perm(child)
@@ -202,16 +267,25 @@ def _owns(i: int, share: int, jobs: int) -> bool:
 
 def walk(
     max_n: int, share: int = 0, jobs: int = 1
-) -> Generator[tuple[bytes, SemilatticeTable], None, array]:
+) -> Generator[tuple[bytes, SemilatticeTable, int], None, array]:
     """Every class with 1..max_n elements that one share of the walk
     reports, once each, depth-first: a kept child comes before its own
     children.  ``walk(max_n)`` is the whole walk, share 0 of 1.
 
-    Each class comes as a pair (key, S): key is the ``_key`` of its
-    canonical form, and S is the class as the walk built it, with the masks
-    it took from its parent (``_extend``).  Readers of label-invariant
-    properties, such as congruence counts and classes, read them off S;
+    Each class comes as a triple (key, S, k): key is the ``_key`` of its
+    canonical form, S is the class as the walk built it, with the masks it
+    took from its parent (``_extend``), and k is |Con S|.  Readers of
+    other label-invariant properties, such as classes, read them off S;
     ``_table(key, S.n)`` is the canonical table.
+
+    k is carried down the walk and never counted from scratch: the class
+    with one element has one congruence, and each parent's one kernel pass
+    (``_Parent``) gives the count of each child it keeps by the
+    augmentation recurrence of the module docstring, |Con S'| = |Con S| +
+    the join-closed subsets of S+ that hold no new pair, which is at most
+    2·|Con S|, with equality exactly when the ideal holds no new pair.  A
+    parent's pass also counts the parent itself, and a count that differs
+    from the one its own parent gave raises InternalInconsistency.
 
     Canonical augmentation gives each class one parent, so the subtrees
     below the classes with SPLIT_N elements (the roots) hold disjoint sets
@@ -219,8 +293,8 @@ def walk(
     share 0 reports, and the subtree of each root it owns (``_owns``).
 
     A parent is extended by the least ideal of each Aut(parent)-orbit whose
-    child passes the size pretest (``_sized_ideals``), which keeps or drops
-    whole orbits.
+    child passes the size pretest (``_Parent.sized_ideals``), which keeps or
+    drops whole orbits.
 
     The walk returns the sorted digests (``_digest``) of the keys of the
     classes the share reports, for ``_walk_shares`` to check.  They are kept
@@ -236,25 +310,32 @@ def walk(
         return key
 
     def expand(
-        parent: SemilatticeTable, generators: list[list[int]]
-    ) -> Iterator[tuple[bytes, SemilatticeTable]]:
-        for mask in _orbit_representatives(_sized_ideals(parent), generators):
-            child = _extend(parent, mask)
+        S: SemilatticeTable, generators: list[list[int]], k: int
+    ) -> Iterator[tuple[bytes, SemilatticeTable, int]]:
+        parent = _Parent(S)
+        if parent.count != k:
+            raise InternalInconsistency(
+                f"a class with {S.n} elements has {parent.count} join-closed subsets,"
+                f" its parent's recurrence gave {k}"
+            )
+        for mask in _orbit_representatives(parent.sized_ideals(), generators):
+            child = _extend(S, mask)
             kept = _accepted_canonical(child)
             if kept is None:
                 continue
             K, child_generators = kept
             if K.n == SPLIT_N and not _owns(next(roots), share, jobs):
                 continue
+            child_k = parent.child_count(mask)
             if share == 0 or K.n >= SPLIT_N:
-                yield reported(K), child
+                yield reported(K), child, child_k
             if child.n < max_n:
-                yield from expand(child, child_generators)
+                yield from expand(child, child_generators, child_k)
 
     if share == 0:
-        yield reported(_ONE), _ONE
+        yield reported(_ONE), _ONE, 1
     if max_n > 1:
-        yield from expand(_ONE, [])
+        yield from expand(_ONE, [], 1)
     digests = array("Q")
     for bucket in buckets:
         digests.extend(sorted(bucket))
@@ -400,7 +481,7 @@ def _check_bound(n: int, max_n: int | None) -> None:
 
 def _level_keys(n: int, classes: Iterator) -> list[bytes]:
     """The keys of the n-element classes among a share's classes."""
-    return [key for key, S in classes if S.n == n]
+    return [key for key, S, _ in classes if S.n == n]
 
 
 def enumerate_semilattices(
@@ -480,7 +561,8 @@ class Spectrum:
 
     ``witness_totals`` maps each value to the number of classes attaining
     it, and ``witness_keys`` to the meet keys (``_key``) of the WITNESS_CAP
-    least of their canonical tables, ascending; ``witnesses`` holds those
+    least of their canonical tables, ascending, or is empty when
+    ``spectrum`` was asked for no witnesses; ``witnesses`` holds those
     tables, built on first read.  ``classes`` maps each of the largest
     values asked for (``spectrum``'s ``top``) to the classes
     (``structure.classify``) of every table attaining it.
@@ -514,16 +596,17 @@ class Spectrum:
         }
 
 
-def _spectrum_share(n: int, top: int | None, classes: Iterator) -> tuple:
+def _spectrum_share(n: int, top: int | None, witnesses: bool, classes: Iterator) -> tuple:
     """One share's summary of its n-element classes, streamed from its walk.
 
-    Returns (totals, least, classes): the number of classes of each value,
-    the meet keys of each value's WITNESS_CAP least tables, ascending, which
-    is all the share holds of them at any time, and, when
-    ``top`` is given, the classes (``structure.classify``) of every table of
-    the share's own ``top`` largest values.  Each class is counted once, on
-    the table the walk built, and classified with that count as it arrives
-    when its value is among the ``top`` largest the share has seen so far.
+    Returns (totals, least, classes): the number of classes of each value;
+    when ``witnesses`` is true, the meet keys of each value's WITNESS_CAP
+    least tables, ascending, which is all the share holds of them at any
+    time, and otherwise no key; and, when ``top`` is given, the classes
+    (``structure.classify``) of every table of the share's own ``top``
+    largest values.  Each class comes with the count the walk carried down
+    to it and is classified with that count as it arrives when its value is
+    among the ``top`` largest the share has seen so far.
 
     Those are enough for the global top M = ``top``: if v is among the M
     largest values overall, fewer than M values exceed v overall, so fewer
@@ -535,15 +618,15 @@ def _spectrum_share(n: int, top: int | None, classes: Iterator) -> tuple:
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
     found: dict[int, set[SemilatticeClass]] = {}
-    for key, S in classes:
+    for key, S, value in classes:
         if S.n != n:
             continue
-        value = congruence_count(S)
         totals[value] = totals.get(value, 0) + 1
-        witnesses = least.setdefault(value, [])
-        if len(witnesses) < WITNESS_CAP or key < witnesses[-1]:
-            insort(witnesses, key)
-            del witnesses[WITNESS_CAP:]
+        if witnesses:
+            keys = least.setdefault(value, [])
+            if len(keys) < WITNESS_CAP or key < keys[-1]:
+                insort(keys, key)
+                del keys[WITNESS_CAP:]
         if top is not None and (value in found or len(found) < top or value > min(found)):
             found.setdefault(value, set()).add(_classified(S, value).semilattice_class)
             if len(found) > top:
@@ -552,27 +635,33 @@ def _spectrum_share(n: int, top: int | None, classes: Iterator) -> tuple:
 
 
 def spectrum(
-    n: int, max_n: int | None = None, top: int | None = None, jobs: int | None = None
+    n: int,
+    max_n: int | None = None,
+    top: int | None = None,
+    jobs: int | None = None,
+    witnesses: bool = True,
 ) -> Spectrum:
     """Exact congruence-count spectrum, merged from the summaries of the
     shares of one walk (``_spectrum_share``), with the classes of the
-    ``top`` largest values when ``top`` is given.  Only the summaries are
-    held here, never every class.  NCsl(n) needs n >= 2; n, then ``top``,
-    then the bound are checked before the walk."""
+    ``top`` largest values when ``top`` is given, and the least witnesses
+    of each value unless ``witnesses`` is false, when ``witness_keys`` is
+    empty.  Only the summaries are held here, never every class.  NCsl(n)
+    needs n >= 2; n, then ``top``, then the bound are checked before the
+    walk."""
     if n < 2:
         raise TooLarge(f"n must be at least 2, got {n}")
     if top is not None:
         _check_top(top)
     _check_bound(n, max_n)
-    shares = _walk_shares(n, jobs, _spectrum_share, (n, top))
+    shares = _walk_shares(n, jobs, _spectrum_share, (n, top, witnesses))
     totals: dict[int, int] = {}
     least: dict[int, list[bytes]] = {}
     classes: dict[int, set[SemilatticeClass]] = {}
     for share_totals, share_least, share_classes in shares:
         for value, k in share_totals.items():
             totals[value] = totals.get(value, 0) + k
-        for value, witnesses in share_least.items():
-            least.setdefault(value, []).extend(witnesses)
+        for value, keys in share_least.items():
+            least.setdefault(value, []).extend(keys)
         for value, found in share_classes.items():
             classes.setdefault(value, set()).update(found)
     largest = sorted(totals, reverse=True)[: top or 0]

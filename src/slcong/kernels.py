@@ -44,11 +44,41 @@ def _columns(k):
 def _alive_blocks(nbits, clauses):
     """(first, alive) for each block of the masks in [0, 2^nbits), first
     ascending; bit i of alive is set iff mask first + i violates no clause."""
+    k, base, high = _block_clauses(nbits, clauses)
+    for h in range(1 << (nbits - k)):
+        alive = base
+        for hn, hj, keep in high:
+            if h & hn == hn and not h & hj:
+                alive &= keep
+        yield h << k, alive
+
+
+def _kept(nbits, blocks, clauses):
+    """(first, alive & keep) for each (first, alive) of ``blocks``, blocks of
+    the masks in [0, 2^nbits) as ``_alive_blocks`` yields them; bit i of
+    keep is set iff mask first + i violates no clause.  So further clauses
+    narrow a pass already made without scanning again."""
+    k, base, high = _block_clauses(nbits, clauses)
+    for first, alive in blocks:
+        alive &= base
+        h = first >> k
+        for hn, hj, keep in high:
+            if h & hn == hn and not h & hj:
+                alive &= keep
+        yield first, alive
+
+
+def _block_clauses(nbits, clauses):
+    """(k, base, high) for scanning blocks of 2^k masks, k = min(nbits,
+    BLOCK_BITS): base holds the low patterns that violate no clause whose
+    bits all lie below k, and high a (high need, high join, keep) per other
+    clause, where keep holds the low patterns that do not violate it in a
+    block whose high bits hold its high need and none of its high join."""
     k = min(nbits, BLOCK_BITS)
     ones, columns = _columns(k)
     low = (1 << k) - 1
-    base = ones  # the masks that violate no clause held in the low bits
-    high = []  # (high need, high join, the masks that do not violate it) per other clause
+    base = ones
+    high = []
     for need, join in clauses:
         hn = need >> k
         hj = join >> k
@@ -67,12 +97,7 @@ def _alive_blocks(nbits, clauses):
             high.append((hn, hj, ones ^ hit))
         else:
             base &= ~hit
-    for h in range(1 << (nbits - k)):
-        alive = base
-        for hn, hj, keep in high:
-            if h & hn == hn and not h & hj:
-                alive &= keep
-        yield h << k, alive
+    return k, base, high
 
 
 def scan_join_closed(nbits, clauses):
@@ -82,8 +107,14 @@ def scan_join_closed(nbits, clauses):
 
 def list_join_closed(nbits, clauses):
     """The masks in [0, 2^nbits) that violate no clause, ascending."""
+    return _listed(_alive_blocks(nbits, clauses))
+
+
+def _listed(blocks):
+    """The masks whose bits are set in ``blocks``, (first, alive) pairs with
+    first ascending, ascending."""
     masks = []
-    for first, alive in _alive_blocks(nbits, clauses):
+    for first, alive in blocks:
         digits = format(alive, "b").encode().translate(_DIGITS)[::-1]
         masks += compress(range(first, first + len(digits)), digits)
     return masks

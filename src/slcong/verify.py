@@ -3,12 +3,13 @@
 Each claim is a ``claim_`` function: an exhaustive or constructive check
 with exact expected values that returns its detail or raises.  An
 exhaustive claim has two steps.  Its check step, ``_check_<claim>(key, S,
-tally)``, runs the claim's per-class checks on one class, given as the
-walk yields it (``enumeration.walk``): its canonical meet key and the
-table the walk built, on which the label-invariant checks run.  It adds
-what the claim needs to its tally, a ``Counter`` whose entries merge by
-``+``.  Its ``claim_`` function merges the tallies and makes the claim's
-global assertions, such as the exact value sets.
+k, tally)``, runs the claim's per-class checks on one class, given as the
+walk yields it (``enumeration.walk``): its canonical meet key, the table
+the walk built, on which the label-invariant checks run, and the
+congruence count the walk carried down to it.  It adds what the claim
+needs to its tally, a ``Counter`` whose entries merge by ``+``.  Its
+``claim_`` function merges the tallies and makes the claim's global
+assertions, such as the exact value sets.
 
 ``run_claims`` walks once for all of them, split by subtree into shares
 (``enumeration._walk_shares``): each share tallies its own classes for
@@ -111,7 +112,7 @@ SIZES = {
 
 def _tally(caps: dict[str, int], classes) -> tuple[dict, dict]:
     """Each claim's check step (``_check_<claim>``) over the classes of its
-    sizes up to its cap in ``caps``, given as (key, S) pairs as
+    sizes up to its cap in ``caps``, given as (key, S, k) triples as
     ``enumeration.walk`` yields them.
 
     Returns, per claim, its tally, or the exception its check raised, after
@@ -123,13 +124,13 @@ def _tally(caps: dict[str, int], classes) -> tuple[dict, dict]:
     checks = [
         (c, globals()[f"_check_{c}"], range(SIZES[c].start, cap + 1)) for c, cap in caps.items()
     ]
-    for key, S in classes:
+    for key, S, k in classes:
         for c, check, sizes in checks:
             if S.n not in sizes or isinstance(tallies[c], Exception):
                 continue
             start = time.perf_counter()
             try:
-                check(key, S, tallies[c])
+                check(key, S, k, tallies[c])
             except Exception as exc:  # fails this claim only
                 tallies[c] = exc
             seconds[c] += time.perf_counter() - start
@@ -154,10 +155,10 @@ def _merged(claim: str, max_n: int, levels: list | None) -> dict:
     return merged
 
 
-def _check_small_spectra(key, S, tally: Counter) -> None:
-    k = congruence_count(S)
-    tally.setdefault(S.n, Counter())[k] += 1
-    if S.n == 5 and k == 12 and are_isomorphic(S, named("m3")):
+def _check_small_spectra(key, S, k, tally: Counter) -> None:
+    counted = congruence_count(S)
+    tally.setdefault(S.n, Counter())[counted] += 1
+    if S.n == 5 and counted == 12 and are_isomorphic(S, named("m3")):
         tally["m3"] += 1
 
 
@@ -178,11 +179,12 @@ def _top_four(n: int) -> list[int]:
     return [scaled_threshold(c, n) for c in (32, 28, 26, 25)]
 
 
-def _check_top_four(key, S, tally: Counter) -> None:
+def _check_top_four(key, S, k, tally: Counter) -> None:
     n = S.n
     top = _top_four(n)
     report = classify(S)
-    k, cls = report.congruence_count, report.semilattice_class
+    counted, cls = report.congruence_count, report.semilattice_class
+    assert counted == k, f"n={n}: count() gives {counted}, the walk's recurrence {k}"
     assert (cls == SemilatticeClass.TREE) == (k == top[0]), (n, k, cls)
     assert (cls == SemilatticeClass.NUCLEUS_B4) == (k == top[1]), (n, k, cls)
     assert (cls == SemilatticeClass.NUCLEUS_N5) == (k == top[2]), (n, k, cls)
@@ -257,31 +259,40 @@ def claim_fixture_counts() -> str:
     return "28 at n=6 (x3), 14 at n=5, 1664 at n=12 (x3, common skeleton), 3200 at n=13 (x4, common skeleton)"
 
 
-def _check_duality(key, S, tally: Counter) -> None:
+def _check_duality(key, S, k, tally: Counter) -> None:
     report = verify_duality(S)
     pj = PartialJoinStructure(S)
-    counts = (report.congruence_count, report.subalgebra_count, pj.count_inclusion_exclusion(), pj.count())
+    counts = (
+        report.congruence_count,
+        report.subalgebra_count,
+        pj.count_inclusion_exclusion(),
+        pj.count(),
+        k,
+    )
     assert len(set(counts)) == 1, (S.n, counts)
     tally["classes"] += 1
 
 
 def claim_duality(max_n: int = SIZES["duality"][-1], levels=None) -> str:
-    """|Con| = |Sub(S+)| by listing both, by inclusion-exclusion and by the
-    default counting route, and the dual map is an inclusion-reversing
-    bijection, for every semilattice with n <= max_n.
+    """|Con| = |Sub(S+)| by listing both, by inclusion-exclusion, by the
+    default counting route and by the walk's augmentation recurrence, and
+    the dual map is an inclusion-reversing bijection, for every
+    semilattice with n <= max_n.
 
     For n <= 13 the default route counts the whole table with the kernel
-    pass of the subset listing or with the inclusion-exclusion sum, so here
-    it is not a fourth independent route."""
+    pass of the subset listing or with the inclusion-exclusion sum, and the
+    recurrence counts with the kernel pass of the class's parent, so
+    neither is a further independent route; the congruence listing and the
+    inclusion-exclusion sum share no code with the recurrence."""
     total = _merged("duality", max_n, levels).get("classes", 0)
     return (
         f"n <= {max_n}: {total} semilattices, counts agree on three independent routes"
-        " (congruence listing, subset listing, inclusion-exclusion) and the default route,"
-        " duality bijective"
+        " (congruence listing, subset listing, inclusion-exclusion), the default route"
+        " and the walk's recurrence, duality bijective"
     )
 
 
-def _check_tree_quotient(key, S, tally: Counter) -> None:
+def _check_tree_quotient(key, S, k, tally: Counter) -> None:
     Q, _ = quotient(S, tree_congruence(S))
     assert validate(Q.meet) == Q and is_tree(Q), f"non-tree quotient at n={S.n}"
     tally["classes"] += 1
@@ -293,7 +304,7 @@ def claim_tree_quotient(max_n: int = SIZES["tree_quotient"][-1], levels=None) ->
     return f"n <= {max_n}: {total} tree-congruence quotients are trees"
 
 
-def _check_convex_block(key, S, tally: Counter) -> None:
+def _check_convex_block(key, S, k, tally: Counter) -> None:
     for mask in range(3, 1 << S.n):
         if mask.bit_count() < 2:
             continue
@@ -312,7 +323,7 @@ def claim_convex_block(max_n: int = SIZES["convex_block"][-1], levels=None) -> s
     return f"n <= {max_n}: {total} convex subsemilattices, both criteria agree"
 
 
-def _check_lattice_bound(key, S, tally: Counter) -> None:
+def _check_lattice_bound(key, S, k, tally: Counter) -> None:
     if not is_lattice(S):
         return
     n = S.n
@@ -349,7 +360,7 @@ def claim_interval_blocks() -> str:
     return f"grid2x3: {grid}, chain_6: {chain}, chain_1: {single}"
 
 
-def _check_enumeration_oracle(key, S, tally: Counter) -> None:
+def _check_enumeration_oracle(key, S, k, tally: Counter) -> None:
     tally.setdefault(S.n, []).append(key)
 
 

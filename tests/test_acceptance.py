@@ -62,9 +62,9 @@ def test_criterion_3_fixture_counts():
 
 
 def test_criterion_4_duality():
-    # three independent counting routes and the default route agree, and the
-    # dual map is a bijection reversing inclusion, for every semilattice with
-    # n <= 7; < 2 min
+    # three independent counting routes, the default route and the walk's
+    # recurrence agree, and the dual map is a bijection reversing inclusion,
+    # for every semilattice with n <= 7; < 2 min
     detail, seconds = _timed(verify.claim_duality, 7)
     assert seconds < 120.0
     _report(4, "congruence-subalgebra-duality", detail, seconds, budget=120)

@@ -455,7 +455,7 @@ def test_canonical_search_prunes_by_its_automorphisms():
 
 
 def test_orbit_representatives_match_brute_force_orbits(rng):
-    from slcong.enumeration import _joinclosed_downset_masks, _orbit_representatives
+    from slcong.enumeration import _orbit_representatives, _Parent
 
     parents = [S for n in range(1, 8) for S in classes(n)]
     assert len(parents) == 299
@@ -466,9 +466,9 @@ def test_orbit_representatives_match_brute_force_orbits(rng):
             group = automorphisms(T)
             least = {
                 min(sum(1 << g[x] for x in range(T.n) if mask >> x & 1) for g in group)
-                for mask in _joinclosed_downset_masks(T)
+                for mask in _Parent(T).ideals()
             }
-            reps = _orbit_representatives(_joinclosed_downset_masks(T), canonical_with_perm(T)[2])
+            reps = _orbit_representatives(_Parent(T).ideals(), canonical_with_perm(T)[2])
             assert reps == sorted(least), T.meet
 
 

@@ -3,10 +3,19 @@ import json
 
 import pytest
 
-from conftest import NAMED_POOL, automorphisms, classes, drained, span_order, triangle_square
-from slcong import enumeration, verify
-from slcong.congruences import is_lattice
+from conftest import (
+    NAMED_POOL,
+    automorphisms,
+    classes,
+    drained,
+    grown,
+    span_order,
+    triangle_square,
+)
+from slcong import enumeration, kernels, verify
+from slcong.congruences import all_meet_congruences, is_lattice
 from slcong.core import (
+    _bits,
     _colors,
     are_isomorphic,
     canonical_form,
@@ -19,8 +28,7 @@ from slcong.enumeration import (
     _accepted_canonical,
     _extend,
     _extend_checked,
-    _joinclosed_downset_masks,
-    _sized_ideals,
+    _Parent,
     _table,
     enumerate_semilattices,
     enumerate_semilattices_bruteforce,
@@ -29,7 +37,7 @@ from slcong.enumeration import (
     walk,
 )
 from slcong.errors import InternalInconsistency, NotEnoughValues, TooLarge
-from slcong.joinsub import congruence_count
+from slcong.joinsub import PartialJoinStructure, congruence_count
 
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15, 6: 53, 7: 222}
@@ -45,7 +53,7 @@ def test_counts_against_oracle():
 
 def test_walk_yields_each_class_once():
     levels = {n: [] for n in range(1, 9)}
-    for key, S in walk(8):
+    for key, S, _ in walk(8):
         levels[S.n].append(key)
     assert [len(level) for level in levels.values()] == [1, 1, 2, 5, 15, 53, 222, 1078]
     assert len({key for level in levels.values() for key in level}) == 1377
@@ -57,7 +65,7 @@ def test_walk_pairs_each_key_with_the_class_it_built(rng):
     # S is the walk's own labelling of the class, with the masks it took
     # from its parent; key is its canonical form's
     relabeled = 0
-    for key, S in walk(8):
+    for key, S, _ in walk(8):
         assert (S.below_mask, S.above_mask) == _masks_by_definition(S)
         assert canonical_form(S).meet == _table(key, S.n).meet
         relabeled += _table(key, S.n) != S
@@ -65,6 +73,67 @@ def test_walk_pairs_each_key_with_the_class_it_built(rng):
         T = S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))
         assert canonical_with_perm(T)[1].index(S.n - 1) in T.maximal_elements, T.meet
     assert relabeled > 0
+
+
+def test_walk_counts_each_class_by_the_recurrence():
+    # the count the walk carries down to each class is the one count() and
+    # the congruence listing give
+    for key, S, k in walk(8):
+        assert k == congruence_count(S) == len(all_meet_congruences(S)), key
+
+
+def test_child_count_is_count_of_the_child(rng):
+    # on every join-closed ideal of every class with n <= 7, and of a
+    # relabelling; a child whose ideal holds no new pair has exactly twice
+    # its parent's count
+    doubled = added = 0
+    for n in range(1, 8):
+        for S in classes(n):
+            for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
+                parent = _Parent(T)
+                assert parent.count == congruence_count(T)
+                above = T.above_mask
+                for mask in parent.ideals():
+                    k = parent.child_count(mask)
+                    assert k == congruence_count(_extend(T, mask)), (T.meet, mask)
+                    ideal = list(_bits(mask & ~1))
+                    new = any(not above[a] & above[b] for a in ideal for b in ideal)
+                    assert (k == 2 * parent.count) == (not new), (T.meet, mask)
+                    doubled += not new
+                    added += new
+    assert doubled > 0 and added > 0
+
+
+def test_child_count_on_parents_wider_than_one_block(rng):
+    # 13 and 14 bits of S+: two and four blocks of the pass, on one path
+    for S in (grown(rng, named("n5"), 14), grown(rng, named("b4"), 15), triangle_square()):
+        parent = _Parent(S)
+        assert len(parent.alive) == 1 << (S.n - 1 - kernels.BLOCK_BITS)
+        assert parent.count == congruence_count(S)
+        for mask in parent.ideals():
+            assert parent.child_count(mask) == congruence_count(_extend(S, mask)), (S.meet, mask)
+
+
+def test_spectrum_counts_no_class_from_scratch(monkeypatch):
+    calls = []
+    real = PartialJoinStructure.count
+
+    def counted(self):
+        calls.append(self.host)
+        return real(self)
+
+    monkeypatch.setattr(PartialJoinStructure, "count", counted)
+    assert len(spectrum(8, jobs=1).values) == 40
+    assert calls == []
+
+
+def test_walk_refuses_a_count_its_own_pass_contradicts(monkeypatch):
+    # a class that is extended is counted by its own pass too
+    real = _Parent.child_count
+    monkeypatch.setattr(_Parent, "child_count", lambda self, ideal: real(self, ideal) + 1)
+    message = "a class with 2 elements has 2 join-closed subsets, its parent's recurrence gave 3"
+    with pytest.raises(InternalInconsistency, match=message):
+        spectrum(3, jobs=1)
 
 
 def _passes_size_pretest(child):
@@ -92,9 +161,9 @@ def test_sized_ideals_are_the_ideals_whose_child_passes_the_size_pretest(rng):
     for n in range(1, 8):
         for S in classes(n):
             for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
-                assert _sized_ideals(T) == [
+                assert _Parent(T).sized_ideals() == [
                     mask
-                    for mask in _joinclosed_downset_masks(T)
+                    for mask in _Parent(T).ideals()
                     if _passes_size_pretest(_extend(T, mask))
                 ], T.meet
 
@@ -162,7 +231,7 @@ def test_walk_tables_carry_their_masks(rng):
         for S in classes(n):
             assert (S.below_mask, S.above_mask) == _masks_by_definition(S)
             for T in (S, S.relabel([0] + rng.sample(range(1, n), n - 1))):
-                for mask in _joinclosed_downset_masks(T):
+                for mask in _Parent(T).ideals():
                     child = _extend(T, mask)
                     assert child == _extend_checked(T, mask)
                     assert (child.below_mask, child.above_mask) == _masks_by_definition(child)
@@ -187,12 +256,12 @@ def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
 
     def duplicated(*args):
         tables, digests = drained(real(*args))
-        fives = [i for i, (_, S) in enumerate(tables) if S.n == 5]
+        fives = [i for i, (_, S, _) in enumerate(tables) if S.n == 5]
         tables[fives[-1]] = tables[fives[0]]
         yield from tables
         return digests
 
-    assert sum(S.n == 5 for _, S in duplicated(5)) == len(classes(5))
+    assert sum(S.n == 5 for _, S, _ in duplicated(5)) == len(classes(5))
     monkeypatch.setattr(enumeration, "walk", duplicated)
     with pytest.raises(AssertionError, match="matches no unpaired oracle class at n=5"):
         verify.claim_enumeration_oracle(5)
@@ -253,7 +322,7 @@ def test_ideals_match_definition(rng):
     tables += [S for n in range(1, 8) for S in classes(n)]
     for S in tables:
         for T in (S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))):
-            assert _joinclosed_downset_masks(T) == _ideals_by_definition(T), T.meet
+            assert _Parent(T).ideals() == _ideals_by_definition(T), T.meet
 
 
 def test_size_pretest_rejects_only_children_the_color_test_rejects(rng):
@@ -265,8 +334,8 @@ def test_size_pretest_rejects_only_children_the_color_test_rejects(rng):
     failed = 0
     for S in tables:
         for T in (S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))):
-            sized = _sized_ideals(T)
-            for mask in _joinclosed_downset_masks(T):
+            sized = _Parent(T).sized_ideals()
+            for mask in _Parent(T).ideals():
                 child = _extend(T, mask)
                 colors = _colors(child)
                 if not _passes_size_pretest(child):

@@ -6,7 +6,8 @@ from conftest import NAMED_POOL, classes, join_closed_by_mask, random_semilattic
 from slcong import kernels
 from slcong.congruences import all_meet_congruences_bruteforce
 from slcong.core import named
-from slcong.enumeration import _joinclosed_downset_masks
+from slcong.enumeration import _Parent
+from slcong.joinsub import PartialJoinStructure
 
 
 def random_clauses(rng, nbits, t):
@@ -50,24 +51,35 @@ def test_listing_ascends_across_block_boundaries():
     assert kernels.scan_join_closed(14, clauses) == len(expected)
 
 
-def test_scans_match_the_oracle_on_the_walks_ideal_clauses(monkeypatch):
+def test_scans_match_the_oracle_on_the_walks_ideal_clauses():
     # the clauses the enumeration walk lists its ideals with, on every class
-    # with n <= 8
-    seen = []
-    list_join_closed = kernels.list_join_closed
-
-    def checked(nbits, clauses):
-        listed = list_join_closed(nbits, clauses)
-        assert listed == join_closed_by_mask(nbits, clauses), clauses
-        assert kernels.scan_join_closed(nbits, clauses) == len(listed)
-        seen.append(nbits)
-        return listed
-
+    # with n <= 8: the join-closed pass, narrowed by the down-set clauses
     tables = [S for n in range(1, 9) for S in classes(n)]
-    monkeypatch.setattr(kernels, "list_join_closed", checked)
     for S in tables:
-        _joinclosed_downset_masks(S)
-    assert len(seen) == len(tables) == 1377
+        nbits = S.n - 1
+        ubtas = PartialJoinStructure(S).clauses
+        needs = [(1 << (x - 1), 1 << (c - 1)) for c, x in S.covers if c]
+        parent = _Parent(S)
+        assert kernels._listed(parent.alive) == join_closed_by_mask(nbits, ubtas)
+        listed = join_closed_by_mask(nbits, needs + list(ubtas))
+        assert parent.ideals() == [(mask << 1) | 1 for mask in listed], S.meet
+        assert kernels.list_join_closed(nbits, needs + list(ubtas)) == listed
+        assert kernels.scan_join_closed(nbits, needs + list(ubtas)) == len(listed)
+    assert len(tables) == 1377
+
+
+def test_narrowing_a_pass_matches_one_pass_over_all_clauses(rng):
+    # _kept narrows the blocks of a pass by more clauses, on one block or
+    # several, among them pairs with an empty join, as the walk's new pairs
+    for nbits in (0, 1, 5, 12, 13, 14):
+        for _ in range(4):
+            first = random_clauses(rng, nbits, rng.randint(0, 4)) if nbits else []
+            more = random_clauses(rng, nbits, rng.randint(0, 2)) if nbits else []
+            for _ in range(rng.randint(0, 3) if nbits > 1 else 0):
+                more.append((sum(1 << b for b in rng.sample(range(nbits), 2)), 0))
+            blocks = list(kernels._alive_blocks(nbits, first))
+            narrowed = kernels._listed(kernels._kept(nbits, blocks, more))
+            assert narrowed == join_closed_by_mask(nbits, first + more), (nbits, first, more)
 
 
 def test_op_compatible_against_definition(rng):

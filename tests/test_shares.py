@@ -59,17 +59,17 @@ def test_split_roots_are_the_classes_of_the_split_size():
 def test_shares_partition_the_walk():
     # every class with n <= 8 is reported by exactly one of three shares;
     # only share 0 reports the classes below the split
-    whole = [key for key, _ in walk(8)]
+    whole = [(key, k) for key, _, k in walk(8)]
     shares = [drained(walk(8, share, 3)) for share in range(3)]
-    assert sorted(whole) == sorted(key for pairs, _ in shares for key, _ in pairs)
-    assert all(S.n >= SPLIT_N for pairs, _ in shares[1:] for _, S in pairs)
-    assert all(pairs for pairs, _ in shares)
+    assert sorted(whole) == sorted((key, k) for found, _ in shares for key, _, k in found)
+    assert all(S.n >= SPLIT_N for found, _ in shares[1:] for _, S, _ in found)
+    assert all(found for found, _ in shares)
     # a share's walk returns the digest of the key of each class it reports,
     # sorted, one per class
-    for pairs, digests in shares:
+    for found, digests in shares:
         assert isinstance(digests, array) and digests.typecode == "Q"
-        assert list(digests) == sorted(enumeration._digest(key) for key, _ in pairs)
-        assert len(digests) == len(pairs)
+        assert list(digests) == sorted(enumeration._digest(key) for key, _, _ in found)
+        assert len(digests) == len(found)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -248,10 +248,22 @@ def test_spectrum_classifies_each_class_of_a_running_top_value_once(monkeypatch)
 def test_no_share_summary_holds_a_table(starts, jobs):
     # a share's summary holds counts, keys and classes; its tables were
     # dropped as the walk went on
-    summaries = enumeration._walk_shares(7, jobs, enumeration._spectrum_share, (7, 4))
+    summaries = enumeration._walk_shares(7, jobs, enumeration._spectrum_share, (7, 4, True))
     summaries += enumeration._walk_shares(7, jobs, enumeration._level_keys, (7,))
     assert len(summaries) == 2 * jobs and len(starts) == 2 * (jobs - 1)
     assert not any(b"SemilatticeTable" in pickle.dumps(summary) for summary in summaries)
+
+
+def test_witness_keys_are_collected_only_when_asked_for(starts):
+    # without witnesses no share collects a key, and nothing else changes
+    summaries = enumeration._walk_shares(7, 2, enumeration._spectrum_share, (7, 4, False))
+    assert [least for _, least, _ in summaries] == [{}, {}]
+    bare = spectrum(7, top=4, jobs=2, witnesses=False)
+    full = spectrum(7, top=4, jobs=2)
+    assert bare.witness_keys == {} and bare.witnesses == {}
+    assert full.witness_keys and bare.witness_totals == full.witness_totals
+    assert bare.classes == full.classes
+    assert len(starts) == 3
 
 
 @pytest.mark.parametrize("where", ["worker", "parent"])
@@ -259,32 +271,32 @@ def test_an_inconsistency_in_one_process_ends_the_run(starts, monkeypatch, capsy
     # a worker's error reaches the parent as the same type; an error in the
     # parent's own share stops the worker
     parent = os.getpid()
-    real = enumeration.congruence_count
+    real = enumeration._extend
 
-    def count_in_one_process(S):
+    def extend_in_one_process(S, mask):
         if (os.getpid() == parent) == (where == "parent"):
-            raise InternalInconsistency(f"counted in the {where}")
-        return real(S)
+            raise InternalInconsistency(f"extended in the {where}")
+        return real(S, mask)
 
-    monkeypatch.setattr(enumeration, "congruence_count", count_in_one_process)
-    with pytest.raises(InternalInconsistency, match=f"counted in the {where}"):
+    monkeypatch.setattr(enumeration, "_extend", extend_in_one_process)
+    with pytest.raises(InternalInconsistency, match=f"extended in the {where}"):
         spectrum(7, jobs=2)
     code, out, err = run(capsys, "spectrum", "7", "--top", "4", "--jobs", "2")
     assert code == 1 and out == ""
-    assert err == f"internal inconsistency: counted in the {where}\n"
+    assert err == f"internal inconsistency: extended in the {where}\n"
     assert len(starts) == 2
 
 
 def test_a_worker_that_dies_ends_the_run(starts, monkeypatch):
     parent = os.getpid()
-    real = enumeration.congruence_count
+    real = enumeration._extend
 
-    def die_in_a_worker(S):
+    def die_in_a_worker(S, mask):
         if os.getpid() != parent:
             os._exit(3)
-        return real(S)
+        return real(S, mask)
 
-    monkeypatch.setattr(enumeration, "congruence_count", die_in_a_worker)
+    monkeypatch.setattr(enumeration, "_extend", die_in_a_worker)
     with pytest.raises(InternalInconsistency, match="share 1 of 2 ended without a result"):
         spectrum(7, jobs=2)
     assert starts[0].exitcode == 3
@@ -308,7 +320,9 @@ def test_top_values_without_the_classes_of_its_values_exits_two(monkeypatch, cap
     # a spectrum that holds the classes of fewer values than --top asks for
     # is a refused input (exit 2), not a usage error (exit 3)
     real = enumeration.spectrum
-    monkeypatch.setattr(enumeration, "spectrum", lambda n, max_n, top, jobs: real(n, top=1))
+    monkeypatch.setattr(
+        enumeration, "spectrum", lambda n, max_n, top, jobs, witnesses: real(n, top=1)
+    )
     code, out, err = run(capsys, "spectrum", "5", "--top", "2")
     assert code == 2 and out == ""
     assert err == (

@@ -244,8 +244,14 @@ def test_a_count_that_contradicts_the_class_is_refused(monkeypatch):
     monkeypatch.setattr(structure, "congruence_count", lambda S: 27)
     with pytest.raises(InternalInconsistency, match="NucleusB4 predicts 28 congruences, counted 27"):
         classify(extend_below(named("b4"), 2))
-    real = enumeration.congruence_count
-    monkeypatch.setattr(enumeration, "congruence_count", lambda S: real(S) + 1)
+    # the walk carries one congruence too many to each 6-element class,
+    # which it does not extend, so only the classification can see it
+    real = enumeration._Parent.child_count
+
+    def miscounted(parent, ideal):
+        return real(parent, ideal) + (parent.S.n == 5)
+
+    monkeypatch.setattr(enumeration._Parent, "child_count", miscounted)
     with pytest.raises(InternalInconsistency, match=r"predicts \d+ congruences, counted"):
         enumeration.spectrum(6, top=4, jobs=1)
 
