@@ -136,8 +136,6 @@ def cmd_spectrum(args) -> int:
         top = enumeration.top_values(sp, args.top)
     if args.format == "json":
         obj = sp.to_obj()
-        if not args.witnesses:  # none were collected
-            del obj["witnesses"]
         if top is not None:
             obj["top"] = [
                 {"value": v, "classes": sorted(c.value for c in classes)}

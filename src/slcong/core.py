@@ -49,21 +49,12 @@ class Ubta(NamedTuple):
     v: int
 
 
-@dataclass(frozen=True)
-class UbtaFamily:
+class UbtaFamily(tuple):
     """All UBTAs of a semilattice, repetition-free, in lexicographic (a, b) order."""
-
-    items: tuple[Ubta, ...]
 
     @property
     def t(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
+        return len(self)
 
 
 @dataclass(frozen=True)
@@ -149,7 +140,7 @@ class SemilatticeTable:
                 ub = up_a & up_b
                 if ub:
                     items.append(Ubta(a, b, element_of[ub]))
-        return UbtaFamily(tuple(items))
+        return UbtaFamily(items)
 
     def interval(self, a: int, b: int) -> tuple[int, ...]:
         """The interval [a, b] = {x : a <= x <= b}, ascending."""
@@ -410,7 +401,7 @@ def attach_above(S: SemilatticeTable, x: int, T: SemilatticeTable) -> Semilattic
     element with an old element y is meet_S(x, y).  The UBTA family of S is
     unchanged.
     """
-    if T.ubtas.items:
+    if T.ubtas:
         raise SemilatticeError("attachment must be a tree semilattice")
     if not 0 <= x < S.n:
         raise SemilatticeError(f"no element {x}")

@@ -55,9 +55,10 @@ the classes with SPLIT_N elements are its roots, and share i of ``jobs``
 walks the subtrees of roots i, i + jobs, ...  ``spectrum``,
 ``enumerate_semilattices`` and ``verify`` run the shares through one
 runner (``_walk_shares``): each share runs in its own process (share 0 in
-the caller's) and reduces its walk to a summary there, which holds no table.
-The runner merges the shares' sorted 8-byte digests of the meet keys of the
-classes they report, and that is the walk's one duplicate check.
+the caller's) and reduces its walk to a summary there, which holds no table,
+taking an 8-byte digest of the meet key of each class the summary reads
+(``_walked``).  The runner merges the shares' sorted digests, and that is
+the walk's one duplicate check.
 ``enumerate_semilattices(n)`` sorts the n-element classes' meet keys, and
 ``spectrum`` keeps per-value counts, the least witnesses' keys and the
 classes of the top values, classified as they arrive.  The split size was
@@ -80,9 +81,8 @@ import os
 import sys
 from array import array
 from bisect import insort
-from collections.abc import Generator, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import merge
 from itertools import chain, pairwise
 from itertools import count as counter
@@ -265,9 +265,7 @@ def _owns(i: int, share: int, jobs: int) -> bool:
     return i % jobs == share
 
 
-def walk(
-    max_n: int, share: int = 0, jobs: int = 1
-) -> Generator[tuple[bytes, SemilatticeTable, int], None, array]:
+def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[tuple[bytes, SemilatticeTable, int]]:
     """Every class with 1..max_n elements that one share of the walk
     reports, once each, depth-first: a kept child comes before its own
     children.  ``walk(max_n)`` is the whole walk, share 0 of 1.
@@ -291,23 +289,13 @@ def walk(
     below the classes with SPLIT_N elements (the roots) hold disjoint sets
     of classes.  Every share walks the classes below SPLIT_N, which only
     share 0 reports, and the subtree of each root it owns (``_owns``).
+    The walk checks no duplicates: the share runner does, on the digests
+    ``_walked`` takes of the classes a summary reads.
 
     A parent is extended by the least ideal of each Aut(parent)-orbit whose
     child passes the size pretest (``_Parent.sized_ideals``), which keeps or
-    drops whole orbits.
-
-    The walk returns the sorted digests (``_digest``) of the keys of the
-    classes the share reports, for ``_walk_shares`` to check.  They are kept
-    8 bytes each in 256 arrays by their top byte and sorted one array at a
-    time, never as one list of ints, which would take about 60 bytes each."""
-    buckets = [array("Q") for _ in range(256)]
+    drops whole orbits."""
     roots = counter()
-
-    def reported(K: SemilatticeTable) -> bytes:
-        key = _key(K)
-        digest = _digest(key)
-        buckets[digest >> 56].append(digest)
-        return key
 
     def expand(
         S: SemilatticeTable, generators: list[list[int]], k: int
@@ -328,18 +316,14 @@ def walk(
                 continue
             child_k = parent.child_count(mask)
             if share == 0 or K.n >= SPLIT_N:
-                yield reported(K), child, child_k
+                yield _key(K), child, child_k
             if child.n < max_n:
                 yield from expand(child, child_generators, child_k)
 
     if share == 0:
-        yield reported(_ONE), _ONE, 1
+        yield _key(_ONE), _ONE, 1
     if max_n > 1:
         yield from expand(_ONE, [], 1)
-    digests = array("Q")
-    for bucket in buckets:
-        digests.extend(sorted(bucket))
-    return digests
 
 
 def _key(S: SemilatticeTable) -> bytes:
@@ -441,16 +425,30 @@ def _in_shares(task, args: tuple, jobs: int) -> list:
 
 def _walked(max_n: int, summarize, args: tuple, share: int, jobs: int) -> tuple:
     """``summarize(*args, classes)`` of one share's walk, and the sorted
-    digests the walk returns once ``summarize`` has read it all."""
-    digests = None
+    digests (``_digest``) of the keys of the classes ``summarize`` read, for
+    ``_walk_shares`` to check.  A class is digested as it is handed over,
+    so the check covers exactly the classes the summary read; a summary
+    that stops before the walk ends would leave the rest unchecked, and
+    raises InternalInconsistency.  The digests are kept 8 bytes each in 256 arrays
+    by their top byte and sorted one array at a time, never as one list of
+    ints, which would take about 60 bytes each."""
+    buckets = [array("Q") for _ in range(256)]
+    ended = False
 
-    def classes():
-        nonlocal digests
-        digests = yield from walk(max_n, share, jobs)
+    def classes() -> Iterator[tuple[bytes, SemilatticeTable, int]]:
+        nonlocal ended
+        for found in walk(max_n, share, jobs):
+            digest = _digest(found[0])
+            buckets[digest >> 56].append(digest)
+            yield found
+        ended = True
 
     summary = summarize(*args, classes())
-    if digests is None:
+    if not ended:
         raise InternalInconsistency(f"share {share} of {jobs} was summarized before its walk ended")
+    digests = array("Q")
+    for bucket in buckets:
+        digests.extend(sorted(bucket))
     return summary, digests
 
 
@@ -560,40 +558,34 @@ class Spectrum:
     """The set NCsl(n) of congruence-lattice sizes over all n-element semilattices.
 
     ``witness_totals`` maps each value to the number of classes attaining
-    it, and ``witness_keys`` to the meet keys (``_key``) of the WITNESS_CAP
-    least of their canonical tables, ascending, or is empty when
-    ``spectrum`` was asked for no witnesses; ``witnesses`` holds those
-    tables, built on first read.  ``classes`` maps each of the largest
-    values asked for (``spectrum``'s ``top``) to the classes
-    (``structure.classify``) of every table attaining it.
+    it, and ``witnesses`` to the WITNESS_CAP least of their canonical
+    tables, ascending by ``meet``, or is empty when ``spectrum`` was asked
+    for no witnesses.  ``classes`` maps each of the largest values asked
+    for (``spectrum``'s ``top``) to the classes (``structure.classify``)
+    of every table attaining it.
     """
 
     n: int
     witness_totals: dict
-    witness_keys: dict
+    witnesses: dict
     classes: dict
 
     @property
     def values(self) -> tuple[int, ...]:
         return tuple(sorted(self.witness_totals))
 
-    @cached_property
-    def witnesses(self) -> dict:
-        return {
-            value: tuple(_table(key, self.n) for key in keys)
-            for value, keys in self.witness_keys.items()
-        }
-
     def to_obj(self) -> dict:
-        return {
+        """The JSON object; ``"witnesses"`` only when some were collected."""
+        obj = {
             "n": self.n,
             "values": list(self.values),
             "witness_totals": {str(k): v for k, v in sorted(self.witness_totals.items())},
-            "witnesses": {
-                str(k): [S.to_obj() for S in tables]
-                for k, tables in sorted(self.witnesses.items())
-            },
         }
+        if self.witnesses:
+            obj["witnesses"] = {
+                str(k): [S.to_obj() for S in tables] for k, tables in sorted(self.witnesses.items())
+            }
+        return obj
 
 
 def _spectrum_share(n: int, top: int | None, witnesses: bool, classes: Iterator) -> tuple:
@@ -644,7 +636,7 @@ def spectrum(
     """Exact congruence-count spectrum, merged from the summaries of the
     shares of one walk (``_spectrum_share``), with the classes of the
     ``top`` largest values when ``top`` is given, and the least witnesses
-    of each value unless ``witnesses`` is false, when ``witness_keys`` is
+    of each value unless ``witnesses`` is false, when ``witnesses`` is
     empty.  Only the summaries are held here, never every class.  NCsl(n)
     needs n >= 2; n, then ``top``, then the bound are checked before the
     walk."""
@@ -668,7 +660,10 @@ def spectrum(
     return Spectrum(
         n,
         totals,
-        {value: tuple(sorted(w)[:WITNESS_CAP]) for value, w in least.items()},
+        {
+            value: tuple(_table(key, n) for key in sorted(keys)[:WITNESS_CAP])
+            for value, keys in least.items()
+        },
         {value: frozenset(classes[value]) for value in largest},
     )
 

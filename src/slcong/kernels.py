@@ -44,6 +44,7 @@ def _columns(k):
 def _alive_blocks(nbits, clauses):
     """(first, alive) for each block of the masks in [0, 2^nbits), first
     ascending; bit i of alive is set iff mask first + i violates no clause."""
+    # its own loop: ``_kept`` over all-ones blocks measured 10-15% slower on wide scans
     k, base, high = _block_clauses(nbits, clauses)
     for h in range(1 << (nbits - k)):
         alive = base

@@ -85,7 +85,7 @@ def tree_congruence(S: SemilatticeTable) -> Partition:
 
 def is_tree(S: SemilatticeTable) -> bool:
     """True iff no two incomparable elements have an upper bound."""
-    return not S.ubtas.items
+    return not S.ubtas
 
 
 def _quasi_tree_parts(S: SemilatticeTable) -> tuple[tuple[int, ...], SemilatticeTable]:

@@ -26,16 +26,6 @@ def classes(n: int) -> tuple[SemilatticeTable, ...]:
     return tuple(enumerate_semilattices(n))
 
 
-def drained(generator) -> tuple[list, object]:
-    """Everything a generator yields, as a list, and the value it returns."""
-    items = []
-    while True:
-        try:
-            items.append(next(generator))
-        except StopIteration as stop:
-            return items, stop.value
-
-
 def random_semilattice(rng: random.Random, n: int) -> SemilatticeTable:
     """A random labeled meet semilattice grown by random down-set extensions."""
     S = validate([[0]])

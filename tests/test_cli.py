@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -41,6 +42,25 @@ def test_validate_inline_json(capsys):
 def test_validate_catalog_name(capsys):
     code, _, _ = run(capsys, "validate", "grid2x3")
     assert code == 0
+
+
+def test_validate_json(capsys):
+    code, out, _ = run(capsys, "validate", "b4", "--format", "json")
+    assert code == 0 and out == '{"n":4,"valid":true}\n'
+
+
+def test_validate_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(named("n5").to_obj())))
+    code, out, _ = run(capsys, "validate", "-")
+    assert code == 0 and out == "valid meet semilattice, n=5\n"
+
+
+@pytest.mark.parametrize("text", ["[[0]]", '{"n": 1}'], ids=["list", "no-meet"])
+def test_validate_json_that_is_no_table_object_exits_three(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 3 and out == ""
+    assert err == 'error: expected a JSON object {"n": ..., "meet": [[...], ...]}\n'
 
 
 def test_validate_bad_table(capsys):
@@ -303,6 +323,23 @@ def test_spectrum_byte_stable(capsys):
     assert first == second
 
 
+def test_spectrum_witnesses_human(capsys):
+    # one line per witness, value by value, in the order and with the
+    # tables of the JSON output
+    code, out, _ = run(capsys, "spectrum", "6", "--witnesses")
+    assert code == 0
+    _, payload, _ = run(capsys, "spectrum", "6", "--witnesses", "--format", "json")
+    witnesses = json.loads(payload)["witnesses"]
+    lines = [line.split(": ", 1) for line in out.splitlines() if line.startswith("witness ")]
+    assert [(head, json.loads(table)) for head, table in lines] == [
+        (f"witness {value}", table)
+        for value in sorted(witnesses, key=int)
+        for table in witnesses[value]
+    ]
+    assert len(lines) == 53  # every 6-element class: no value has WITNESS_CAP of them
+    assert "witness " not in run(capsys, "spectrum", "6")[1]
+
+
 def test_spectrum_json_builds_witness_tables_only_when_printed(capsys, monkeypatch):
     built = []
     real = enumeration._table
@@ -352,6 +389,13 @@ def test_enumerate_filters(capsys):
 def test_enumerate_bad_filter(capsys):
     code, _, _ = run(capsys, "enumerate", "4", "--filter", "bogus")
     assert code == 3
+
+
+def test_enumerate_unknown_class_filter_exits_three(capsys):
+    code, out, err = run(capsys, "enumerate", "4", "--filter", "class:Bogus")
+    assert code == 3 and out == ""
+    assert err.startswith("error: unknown class 'Bogus', expected one of [")
+    assert "'NucleusB4'" in err and err.count("\n") == 1
 
 
 def test_enumerate_filter_checked_before_enumeration(capsys, monkeypatch):

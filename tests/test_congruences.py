@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,8 @@ def test_partition_from_blocks_errors():
         Partition.from_blocks(3, [[0, 1]])
     with pytest.raises(SizeMismatch):
         Partition.from_blocks(3, [[0, 1], [1, 2]])
+    with pytest.raises(SizeMismatch, match="empty block"):
+        Partition.from_blocks(3, [[0, 1, 2], []])
 
 
 def test_partition_refines():
@@ -202,6 +205,12 @@ def test_chain_congruences_are_interval_partitions():
 
 def test_generated_empty():
     assert congruence_generated(named("b4"), []).is_identity()
+
+
+@pytest.mark.parametrize("pair", [(0, 4), (-1, 0)])
+def test_generated_refuses_a_pair_out_of_range(pair):
+    with pytest.raises(SizeMismatch, match=re.escape(f"pair ({pair[0]},{pair[1]}) out of range")):
+        congruence_generated(named("b4"), [(1, 3), pair])
 
 
 def test_generated_chain_collapse():

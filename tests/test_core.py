@@ -309,6 +309,18 @@ def test_convex_subsemilattice():
     assert not n5.is_convex_subsemilattice([])
 
 
+def test_subsemilattice_refuses_an_empty_or_not_meet_closed_set():
+    b4 = named("b4")
+    with pytest.raises(SemilatticeError, match="empty subset"):
+        b4.subsemilattice([])
+    # the meet of all of {1, 2} is 0, outside it
+    with pytest.raises(SemilatticeError, match="not meet-closed"):
+        b4.subsemilattice([1, 2])
+    # {0, 2, 3} holds the meet of all its elements but not 2 ^ 3 = 1
+    with pytest.raises(SemilatticeError, match="not meet-closed"):
+        extend_below(b4, 1).subsemilattice([0, 2, 3])
+
+
 # --- isomorphism and canonical form ------------------------------------------
 
 
@@ -557,19 +569,30 @@ def test_attach_above_requires_tree():
         attach_above(named("chain_2"), 0, named("b4"))
 
 
+@pytest.mark.parametrize("x", [-1, 4])
+def test_attach_above_refuses_a_missing_element(x):
+    with pytest.raises(SemilatticeError, match=f"no element {x}"):
+        attach_above(named("b4"), x, named("chain_1"))
+
+
 def test_attach_above_preserves_ubtas(rng):
     for _ in range(100):
         S = random_semilattice(rng, rng.randrange(2, 7))
         T = random_tree(rng, rng.randrange(1, 5))
         x = rng.randrange(S.n)
         bigger = attach_above(S, x, T)
-        assert bigger.ubtas.items == S.ubtas.items
+        assert bigger.ubtas == S.ubtas
         assert congruence_count(bigger) == congruence_count(S) << T.n
 
 
 def test_extend_below_zero_is_identity():
     b4 = named("b4")
     assert extend_below(b4, 0).meet == b4.meet
+
+
+def test_extend_below_refuses_a_negative_length():
+    with pytest.raises(SemilatticeError, match="chain length must be nonnegative"):
+        extend_below(named("b4"), -1)
 
 
 def test_extend_below_b4_two():

@@ -7,7 +7,6 @@ from conftest import (
     NAMED_POOL,
     automorphisms,
     classes,
-    drained,
     grown,
     span_order,
     triangle_square,
@@ -248,23 +247,16 @@ def test_extend_refuses_an_ideal_that_is_not_join_closed():
         _extend(named("b4"), 0b0111)
 
 
-def test_enumeration_oracle_claim_fails_on_a_duplicated_class(monkeypatch):
-    # the walk repeats the first 5-element class in place of the last one,
-    # so the class counts still agree, and returns the digests of the real
-    # walk, so the shares stay disjoint: only the pairing can notice
-    real = enumeration.walk
-
-    def duplicated(*args):
-        tables, digests = drained(real(*args))
-        fives = [i for i, (_, S, _) in enumerate(tables) if S.n == 5]
-        tables[fives[-1]] = tables[fives[0]]
-        yield from tables
-        return digests
-
-    assert sum(S.n == 5 for _, S, _ in duplicated(5)) == len(classes(5))
-    monkeypatch.setattr(enumeration, "walk", duplicated)
+def test_enumeration_oracle_claim_fails_on_a_duplicated_class():
+    # the tally repeats the first 5-element class in place of the last one,
+    # so the class counts still agree: only the pairing can notice
+    tallies, _ = verify._tally({"enumeration_oracle": 5}, walk(5))
+    tally = tallies["enumeration_oracle"]
+    assert verify.claim_enumeration_oracle(5, [tally])
+    assert len(tally[5]) == len(classes(5))
+    tally[5][-1] = tally[5][0]
     with pytest.raises(AssertionError, match="matches no unpaired oracle class at n=5"):
-        verify.claim_enumeration_oracle(5)
+        verify.claim_enumeration_oracle(5, [tally])
 
 
 def test_accepted_canonical_keeps_one_brute_force_orbit(rng):

@@ -130,8 +130,11 @@ def test_extend_below_scales_counts():
 
 
 def test_bruteforce_bound():
+    pj = PartialJoinStructure(named("chain_26"))
     with pytest.raises(TooLarge):
-        PartialJoinStructure(named("chain_26")).count_bruteforce()
+        pj.count_bruteforce()
+    with pytest.raises(TooLarge, match="n=26 exceeds bound 25"):
+        pj.join_closed_masks()
 
 
 def test_too_many_ubtas():

@@ -17,7 +17,7 @@ from array import array
 
 import pytest
 
-from conftest import classes, drained
+from conftest import classes
 from slcong import enumeration, errors, verify
 from slcong.cli import main
 from slcong.enumeration import (
@@ -60,12 +60,12 @@ def test_shares_partition_the_walk():
     # every class with n <= 8 is reported by exactly one of three shares;
     # only share 0 reports the classes below the split
     whole = [(key, k) for key, _, k in walk(8)]
-    shares = [drained(walk(8, share, 3)) for share in range(3)]
+    shares = [enumeration._walked(8, list, (), share, 3) for share in range(3)]
     assert sorted(whole) == sorted((key, k) for found, _ in shares for key, _, k in found)
     assert all(S.n >= SPLIT_N for found, _ in shares[1:] for _, S, _ in found)
     assert all(found for found, _ in shares)
-    # a share's walk returns the digest of the key of each class it reports,
-    # sorted, one per class
+    # a share's runner returns the digest of the key of each class its
+    # summary read, sorted, one per class
     for found, digests in shares:
         assert isinstance(digests, array) and digests.typecode == "Q"
         assert list(digests) == sorted(enumeration._digest(key) for key, _, _ in found)
@@ -260,8 +260,8 @@ def test_witness_keys_are_collected_only_when_asked_for(starts):
     assert [least for _, least, _ in summaries] == [{}, {}]
     bare = spectrum(7, top=4, jobs=2, witnesses=False)
     full = spectrum(7, top=4, jobs=2)
-    assert bare.witness_keys == {} and bare.witnesses == {}
-    assert full.witness_keys and bare.witness_totals == full.witness_totals
+    assert bare.witnesses == {} and "witnesses" not in bare.to_obj()
+    assert full.witnesses and bare.witness_totals == full.witness_totals
     assert bare.classes == full.classes
     assert len(starts) == 3
 
@@ -331,9 +331,9 @@ def test_top_values_without_the_classes_of_its_values_exits_two(monkeypatch, cap
 
 
 def test_a_summary_that_stops_before_its_walk_ends_is_refused():
-    # the digest set a walk returns exists only once the walk has ended, so
-    # a summary that stops early cannot skip the check that shares are
-    # disjoint
+    # a class is digested only as the summary reads it, so a summary that
+    # stopped early would leave the rest of its walk out of the check that
+    # shares are disjoint
     message = "share 0 of 1 was summarized before its walk ended"
     with pytest.raises(InternalInconsistency, match=message):
         enumeration._walk_shares(6, 1, next, ())

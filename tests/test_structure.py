@@ -305,7 +305,7 @@ def test_two_ubtas_shared_leg_comparable_others_means_n5():
         for S in classes(n):
             if S.ubtas.t != 2:
                 continue
-            (a1, b1, v1), (a2, b2, v2) = S.ubtas.items
+            (a1, b1, v1), (a2, b2, v2) = S.ubtas
             shared = {a1, b1} & {a2, b2}
             others = ({a1, b1} | {a2, b2}) - shared
             if len(shared) == 1 and v1 == v2:
@@ -319,7 +319,7 @@ def test_bowtie_ubtas_mean_f():
         for S in classes(n):
             if S.ubtas.t != 2:
                 continue
-            (a1, b1, v1), (a2, b2, v2) = S.ubtas.items
+            (a1, b1, v1), (a2, b2, v2) = S.ubtas
             if len({a1, b1} & {a2, b2}) == 1 and not S.leq(v1, v2) and not S.leq(v2, v1):
                 assert are_isomorphic(nucleus_table(S), named("f"))
 
