@@ -5,8 +5,12 @@ with the meet; its blocks are convex and meet-closed.  A partition is
 stored only as its dense first-occurrence block ids, the form the closure
 kernel returns, so each partition has one representation and congruence
 lists are reproducible.  That kernel, ``kernels.congruence_closure``, is
-the one closure: generated congruences grow from the identity and
-enumeration grows each found congruence by one cover pair.
+the one closure, and it always grows from the identity: for generated
+congruences and for the cover congruences Cg(a, b) of enumeration.  The
+rest of enumeration reads no meet, since the join of two congruences is
+their join as equivalences (Burris & Sankappanavar, *A Course in Universal
+Algebra*, ch. II), so each found congruence is joined with each cover
+congruence by a union-find over its blocks.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ class Partition:
         return self.block_id[x] == self.block_id[y]
 
     def refines(self, other: "Partition") -> bool:
-        """True iff self <= other as relations (every self-block is inside an other-block)."""
-        image: dict[int, int] = {}
-        return all(image.setdefault(b, o) == o for b, o in zip(self.block_id, other.block_id))
+        """True iff self <= other as relations (every self-block is inside an
+        other-block): each self-block meets one other-block, so the distinct
+        (self block, other block) pairs are as many as self's blocks."""
+        return len(set(zip(self.block_id, other.block_id))) == self.num_blocks
 
     def is_identity(self) -> bool:
         return self.num_blocks == self.n
@@ -114,6 +119,47 @@ def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     return Partition(kernels.congruence_closure(S.meet, tuple(range(S.n)), singletons, pairs))
 
 
+def _block_pairs(block_id) -> list[tuple[int, int]]:
+    """(least member, member) for every member of a block but its least one:
+    pairs that generate the partition ``block_id`` as an equivalence."""
+    first: dict[int, int] = {}
+    return [(f, x) for x, k in enumerate(block_id) if (f := first.setdefault(k, x)) != x]
+
+
+def _join_equivalences(block_id, num_blocks: int, pairs) -> tuple[int, ...]:
+    """The join, as equivalences, of the partition ``block_id`` (dense
+    first-occurrence ids of ``num_blocks`` blocks) and the equivalence
+    generated by ``pairs``: the transitive closure of their union, as dense
+    first-occurrence ids.
+
+    A union-find over the labels of ``block_id``, in which the larger root
+    points at the smaller, so a merged class keeps its least label and the
+    live labels stay in first-occurrence order.
+    """
+    parent = list(range(num_blocks))
+    for x, y in pairs:
+        u = block_id[x]
+        while parent[u] != u:
+            u = parent[u]
+        v = block_id[y]
+        while parent[v] != v:
+            v = parent[v]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    # parents are smaller labels, so one ascending pass settles every root
+    dense = []
+    live = 0
+    for k, p in enumerate(parent):
+        if p == k:
+            dense.append(live)
+            live += 1
+        else:
+            dense.append(dense[p])
+    return tuple(map(dense.__getitem__, block_id))
+
+
 def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
     """Every meet congruence of S, deterministically ordered.
 
@@ -126,37 +172,38 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
       maximal chain from a to b, and blocks are convex, so those covers lie
       inside the block too.
 
-    The worklist holds dense first-occurrence block-id tuples; each found
-    tuple is joined (``kernels.congruence_closure``, starting from its
-    blocks) with one cover per pair of its blocks that some cover joins,
-    since covers between the same two blocks give the same join.  The Bell
-    scan stays available as an independent oracle
+    The meet is read once per cover: ``kernels.congruence_closure`` grows
+    each Cg(a, b) from the identity, and equal ones are kept once.  After
+    that no meet is read, because the join of two congruences in Con(S) is
+    their join as equivalences, the transitive closure of their union
+    (Burris & Sankappanavar, *A Course in Universal Algebra*, ch. II; Freese,
+    "Computing congruence lattices of finite lattices", Proc. AMS 1997,
+    lists Con this way too).  So each found theta is joined with each
+    Cg(a, b) that does not already relate a and b, by ``_join_equivalences``.
+    The Bell scan stays available as an independent oracle
     (``all_meet_congruences_bruteforce``).
     """
     if S.n > CONGRUENCE_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
     n = S.n
     meet = S.meet
-    covers = S.covers
     identity = tuple(range(n))
+    singletons = [(x,) for x in range(n)]
+    cover_congruences = {}
+    for a, b in S.covers:
+        cg = kernels.congruence_closure(meet, identity, singletons, [(a, b)])
+        cover_congruences.setdefault(cg, (a, b))
+    # Cg(a, b) lies below theta exactly when theta relates a and b
+    generators = [(a, b, _block_pairs(cg)) for cg, (a, b) in cover_congruences.items()]
     found = {identity}
     work = [identity]
     while work:
         ids = work.pop()
-        blocks = [[] for _ in range(max(ids, default=-1) + 1)]
-        for x, k in enumerate(ids):
-            blocks[k].append(x)
-        joined_blocks = set()
-        for a, b in covers:
-            ka = ids[a]
-            kb = ids[b]
-            if ka == kb:
+        num_blocks = max(ids, default=-1) + 1
+        for a, b, pairs in generators:
+            if ids[a] == ids[b]:
                 continue
-            key = (ka, kb) if ka < kb else (kb, ka)
-            if key in joined_blocks:
-                continue
-            joined_blocks.add(key)
-            joined = kernels.congruence_closure(meet, ids, blocks, [(a, b)])
+            joined = _join_equivalences(ids, num_blocks, pairs)
             if joined not in found:
                 found.add(joined)
                 work.append(joined)

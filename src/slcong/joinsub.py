@@ -284,11 +284,14 @@ def verify_duality(S: SemilatticeTable) -> DualityReport:
     for m, d in duals.items():
         if not is_meet_congruence(S, d):
             raise DualityViolation(f"dual of {m:b} is not a congruence")
+        low = []  # low[k]: the meet of block k's members seen so far
+        for x, k in enumerate(d.block_id):
+            if k == len(low):  # ids are first-occurrence, so x is k's first member
+                low.append(x)
+            else:
+                low[k] = meet[low[k]][x]
         least = 0
-        for block in d.blocks[1:]:  # block 0 holds 0
-            v = block[0]
-            for y in block:
-                v = meet[v][y]
+        for v in low[1:]:  # block 0 holds 0
             least |= 1 << v
         if least != m << 1:
             raise DualityViolation(f"subset {m:b} is not the set of block minima of its dual")

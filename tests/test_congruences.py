@@ -7,6 +7,8 @@ from conftest import NAMED_POOL, classes
 from slcong import kernels
 from slcong.congruences import (
     Partition,
+    _block_pairs,
+    _join_equivalences,
     _set_partition_ids,
     all_lattice_congruences,
     all_meet_congruences,
@@ -77,6 +79,16 @@ def test_partition_refines():
     mid = Partition.from_blocks(4, [[0, 1], [2], [3]])
     assert fine.refines(mid) and mid.refines(coarse)
     assert not coarse.refines(mid)
+
+
+def test_partition_refines_matches_the_definition():
+    # every ordered pair of the 52 partitions of a 5-set, congruences or not
+    parts = [Partition(ids) for ids in _set_partition_ids(5)]
+    assert len(parts) == 52
+    for P in parts:
+        for Q in parts:
+            inside = all(len({Q.block_id[x] for x in block}) == 1 for block in P.blocks)
+            assert P.refines(Q) == inside, (P, Q)
 
 
 def test_partition_json():
@@ -154,6 +166,25 @@ def test_join_pair_matches_closure_from_scratch():
                     assert all(least.refines(Q) for Q in containing)
                     joined = kernels.congruence_closure(S.meet, P.block_id, blocks, [(x, y)])
                     assert joined == least.block_id, (S.meet, P, x, y)
+
+
+def test_equivalence_join_with_a_cover_congruence_is_its_closure(rng):
+    # the join in Con(S) is the join in Eq(S): every Bell-scan congruence P
+    # joined as an equivalence with each cover congruence Cg(a, b) is the
+    # closure of P and (a, b) through the meet.  Canonical labels follow a
+    # linear extension, so a relabeled copy of each table also makes the
+    # union-find merge a block into one with a smaller label.
+    pool = [named(name) for name in NAMED_POOL]
+    for n in range(1, 7):
+        pool += classes(n)
+    pool += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in pool]
+    for S in pool:
+        generators = [(a, b, congruence_generated(S, [(a, b)]).block_id) for a, b in S.covers]
+        for P in all_meet_congruences_bruteforce(S):
+            for a, b, cg in generators:
+                joined = _join_equivalences(P.block_id, P.num_blocks, _block_pairs(cg))
+                closed = kernels.congruence_closure(S.meet, P.block_id, P.blocks, [(a, b)])
+                assert joined == closed, (S.meet, P, a, b)
 
 
 def test_eight_element_congruences_match_join_closed_subset_counts():
