@@ -9,8 +9,10 @@ the one closure, and it always grows from the identity: for generated
 congruences and for the cover congruences Cg(a, b) of enumeration.  The
 rest of enumeration reads no meet, since the join of two congruences is
 their join as equivalences (Burris & Sankappanavar, *A Course in Universal
-Algebra*, ch. II), so each found congruence is joined with each cover
-congruence by a union-find over its blocks.
+Algebra*, ch. II), a union-find over blocks.  Enumeration is Close-by-One
+over the cover congruences (Kuznetsov 1993; Ganter, ICFCA 2010): each
+congruence is the join of the cover congruences below it, and it is
+reached once, from one canonical parent.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class Partition:
     def from_block_id(cls, ids) -> "Partition":
         """The partition whose blocks are the classes of equal labels in ``ids``."""
         renumber: dict = {}
-        return cls(tuple(renumber.setdefault(b, len(renumber)) for b in ids))
+        return cls(tuple([renumber.setdefault(b, len(renumber)) for b in ids]))
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
@@ -115,8 +117,7 @@ def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     for x, y in pairs:
         if not (0 <= x < S.n and 0 <= y < S.n):
             raise SizeMismatch(f"pair ({x},{y}) out of range")
-    singletons = [(x,) for x in range(S.n)]
-    return Partition(kernels.congruence_closure(S.meet, tuple(range(S.n)), singletons, pairs))
+    return Partition(kernels.congruence_closure(S.meet, pairs))
 
 
 def _block_pairs(block_id) -> list[tuple[int, int]]:
@@ -126,45 +127,45 @@ def _block_pairs(block_id) -> list[tuple[int, int]]:
     return [(f, x) for x, k in enumerate(block_id) if (f := first.setdefault(k, x)) != x]
 
 
-def _join_equivalences(block_id, num_blocks: int, pairs) -> tuple[int, ...]:
+def _joined_labels(block_id, num_blocks: int, pairs) -> list[int]:
     """The join, as equivalences, of the partition ``block_id`` (dense
     first-occurrence ids of ``num_blocks`` blocks) and the equivalence
-    generated by ``pairs``: the transitive closure of their union, as dense
+    generated by ``pairs``, the transitive closure of their union, as a map
+    from each label of ``block_id`` to its block of the join, in dense
     first-occurrence ids.
 
     A union-find over the labels of ``block_id``, in which the larger root
     points at the smaller, so a merged class keeps its least label and the
     live labels stay in first-occurrence order.
     """
-    parent = list(range(num_blocks))
+    label = list(range(num_blocks))
     for x, y in pairs:
         u = block_id[x]
-        while parent[u] != u:
-            u = parent[u]
+        while label[u] != u:
+            u = label[u]
         v = block_id[y]
-        while parent[v] != v:
-            v = parent[v]
+        while label[v] != v:
+            v = label[v]
         if u < v:
-            parent[v] = u
+            label[v] = u
         elif v < u:
-            parent[u] = v
-    # parents are smaller labels, so one ascending pass settles every root
-    dense = []
+            label[u] = v
+    # parents are smaller labels, so one ascending pass renumbers every label
     live = 0
-    for k, p in enumerate(parent):
+    for k, p in enumerate(label):
         if p == k:
-            dense.append(live)
+            label[k] = live
             live += 1
         else:
-            dense.append(dense[p])
-    return tuple(map(dense.__getitem__, block_id))
+            label[k] = label[p]
+    return label
 
 
 def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
     """Every meet congruence of S, deterministically ordered.
 
-    Generated as the join closure of the cover congruences Cg(a, b) (a
-    covered by b), which reaches every congruence theta because:
+    Every congruence theta is the join of the cover congruences Cg(a, b)
+    (a covered by b) below it, because:
 
     - Cg(x, y) = Cg(x^y, x) v Cg(x^y, y), so theta is the join of the
       Cg(a, b) with a < b inside one theta-block;
@@ -172,42 +173,59 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
       maximal chain from a to b, and blocks are convex, so those covers lie
       inside the block too.
 
+    So with G = (g_0, g_1, ...) the distinct cover congruences, in the order
+    of ``S.covers``, theta -> {g in G : g <= theta} is a bijection from
+    Con(S) onto the closed sets of the closure system whose closure of a
+    set is the g below its join; g_k <= theta exactly when theta relates
+    g_k's cover.  Close-by-One lists each closed set once (Kuznetsov, "A
+    fast algorithm for computing all intersections of objects in a finite
+    semi-lattice", 1993; Ganter, "Two basic algorithms in concept analysis",
+    ICFCA 2010).  It starts from the identity, the closure of the empty set,
+    since no cover congruence is the identity.  From theta, built by adding
+    g_i, it tries only the g_j with j > i that theta leaves apart, and keeps
+    theta v g_j only when that relates no earlier g_k which theta leaves
+    apart: then theta is the canonical parent of theta v g_j.
+
     The meet is read once per cover: ``kernels.congruence_closure`` grows
     each Cg(a, b) from the identity, and equal ones are kept once.  After
     that no meet is read, because the join of two congruences in Con(S) is
     their join as equivalences, the transitive closure of their union
     (Burris & Sankappanavar, *A Course in Universal Algebra*, ch. II; Freese,
     "Computing congruence lattices of finite lattices", Proc. AMS 1997,
-    lists Con this way too).  So each found theta is joined with each
-    Cg(a, b) that does not already relate a and b, by ``_join_equivalences``.
-    The Bell scan stays available as an independent oracle
+    lists Con this way too), formed by ``_joined_labels``; the canonicity
+    test reads its label map before the block ids are built.  The Bell scan
+    stays available as an independent oracle
     (``all_meet_congruences_bruteforce``).
     """
     if S.n > CONGRUENCE_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
-    n = S.n
-    meet = S.meet
-    identity = tuple(range(n))
-    singletons = [(x,) for x in range(n)]
     cover_congruences = {}
     for a, b in S.covers:
-        cg = kernels.congruence_closure(meet, identity, singletons, [(a, b)])
-        cover_congruences.setdefault(cg, (a, b))
-    # Cg(a, b) lies below theta exactly when theta relates a and b
+        cover_congruences.setdefault(kernels.congruence_closure(S.meet, [(a, b)]), (a, b))
     generators = [(a, b, _block_pairs(cg)) for cg, (a, b) in cover_congruences.items()]
-    found = {identity}
-    work = [identity]
+    identity = tuple(range(S.n))
+    listed = [identity]
+    work = [(identity, 0)]  # (theta, index of the first generator to try)
     while work:
-        ids = work.pop()
+        ids, start = work.pop()
         num_blocks = max(ids, default=-1) + 1
-        for a, b, pairs in generators:
-            if ids[a] == ids[b]:
+        apart = []  # theta's labels of the covers of the earlier g_k it leaves apart
+        for j, (a, b, pairs) in enumerate(generators):
+            u = ids[a]
+            v = ids[b]
+            if u == v:
                 continue
-            joined = _join_equivalences(ids, num_blocks, pairs)
-            if joined not in found:
-                found.add(joined)
-                work.append(joined)
-    return sorted(map(Partition, found), key=_sort_key)
+            if j >= start:
+                label = _joined_labels(ids, num_blocks, pairs)
+                for p, q in apart:
+                    if label[p] == label[q]:
+                        break
+                else:
+                    joined = tuple(map(label.__getitem__, ids))
+                    listed.append(joined)
+                    work.append((joined, j + 1))
+            apart.append((u, v))
+    return sorted(map(Partition, listed), key=_sort_key)
 
 
 def _set_partition_ids(n: int):

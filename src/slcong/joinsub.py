@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .congruences import CONGRUENCE_MAX_N, Partition, all_meet_congruences, is_meet_congruence
+from .congruences import CONGRUENCE_MAX_N, Partition, all_meet_congruences
 from .core import SemilatticeTable, _bits
 from .errors import (
     ContainsZero,
@@ -244,17 +244,19 @@ def verify_duality(S: SemilatticeTable) -> DualityReport:
     """Check that the dual map is an order anti-isomorphism onto Con(S).
 
     dual(X) relates x and y iff X meets the down-sets of x and y in the same
-    set.  For each join-closed X the check asks:
+    set.  Each dual is taken as its dense first-occurrence block ids, and
+    for each join-closed X the check asks:
 
     - steps: dual(X u {x}) refines dual(X) for each x not in X with
-      X u {x} join-closed;
+      X u {x} join-closed, that is, the distinct pairs of their block ids
+      are as many as dual(X u {x}) has blocks;
+    - dual(X) is a meet congruence;
     - inverse: X is the set of nonzero least elements of the blocks of
       dual(X) (the least element of a block is the meet of its members);
-    - dual(X) is a meet congruence;
 
-    and then that the duals are exactly ``all_meet_congruences(S)``.  The
-    inverse makes the map injective, so it is a bijection onto Con(S), and
-    X <= Y iff dual(Y) refines dual(X):
+    and then that the duals are exactly the block ids of
+    ``all_meet_congruences(S)``.  The inverse makes the map injective, so it
+    is a bijection onto Con(S), and X <= Y iff dual(Y) refines dual(X):
 
     (a) Let X < Y be join-closed and x maximal in Y \\ X.  Then X u {x} is
         closed: for a in X with {a, x} upper bounded, a v x is in Y and lies
@@ -271,21 +273,23 @@ def verify_duality(S: SemilatticeTable) -> DualityReport:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
     pj = PartialJoinStructure(S)
     masks = pj.join_closed_masks()
-    duals = {m: pj._dual_of_mask(m) for m in masks}
+    duals = {m: pj._dual_of_mask(m).block_id for m in masks}
+    blocks = {m: max(d) + 1 for m, d in duals.items()}
     full = (1 << (S.n - 1)) - 1
     for m, d in duals.items():
         for x in _bits(full & ~m):
-            step = duals.get(m | 1 << x)
-            if step is not None and not step.refines(d):
+            up = m | 1 << x
+            step = duals.get(up)
+            if step is not None and len(set(zip(step, d))) != blocks[up]:
                 raise DualityViolation(
-                    f"subsets {m:b}, {m | 1 << x:b}: inclusion is not reversed refinement"
+                    f"subsets {m:b}, {up:b}: inclusion is not reversed refinement"
                 )
     meet = S.meet
     for m, d in duals.items():
-        if not is_meet_congruence(S, d):
+        if not kernels.op_compatible(meet, d):
             raise DualityViolation(f"dual of {m:b} is not a congruence")
         low = []  # low[k]: the meet of block k's members seen so far
-        for x, k in enumerate(d.block_id):
+        for x, k in enumerate(d):
             if k == len(low):  # ids are first-occurrence, so x is k's first member
                 low.append(x)
             else:
@@ -296,6 +300,6 @@ def verify_duality(S: SemilatticeTable) -> DualityReport:
         if least != m << 1:
             raise DualityViolation(f"subset {m:b} is not the set of block minima of its dual")
     cons = all_meet_congruences(S)
-    if set(cons) != set(duals.values()):
+    if {P.block_id for P in cons} != set(duals.values()):
         raise DualityViolation("dual image differs from the congruence set")
     return DualityReport(n=S.n, subalgebra_count=len(masks), congruence_count=len(cons))

@@ -135,26 +135,23 @@ def op_compatible(op, block_id):
     return True
 
 
-def congruence_closure(meet, block_id, blocks, pairs):
-    """The least congruence above the congruence ``block_id`` that relates
-    every (x, y) in pairs.
+def congruence_closure(meet, pairs):
+    """The least congruence of the meet table ``meet`` that relates every
+    (x, y) in pairs.
 
-    ``block_id`` holds dense first-occurrence block ids and ``blocks[k]``
-    lists the members of its block k.  Starting from these blocks, two
-    blocks merge at a time, the one with the larger label taking the
-    smaller label, and for each pair (x, y) that merged two blocks, (x^z,
-    y^z) is pushed for every z.  Nothing else is rescanned: the result is
-    the equivalence generated by the pairs of ``block_id``, the given pairs
-    and the merging pairs.  Each given pair is related and each generator is
-    compatible with the meet: a pair of ``block_id`` because it is a
-    congruence, and a merging pair because its meets with every z were
-    pushed and so end up related.  Compatibility carries along chains of
-    generators by transitivity, and every merge is forced, so the result is
-    the least such congruence.  Returns dense first-occurrence block ids, as
-    a tuple.
+    Starting from singleton blocks, two blocks merge at a time, the one with
+    the larger label taking the smaller label, and for each pair (x, y) that
+    merged two blocks, (x^z, y^z) is pushed for every z.  Nothing else is
+    rescanned: the result is the equivalence generated by the given pairs
+    and the merging pairs.  Each given pair is related and each merging pair
+    is compatible with the meet, since its meets with every z were pushed
+    and so end up related.  Compatibility carries along chains of merging
+    pairs by transitivity, and every merge is forced, so the result is the
+    least such congruence.  Returns dense first-occurrence block ids, as a
+    tuple.
     """
-    label = list(block_id)
-    members = list(blocks)  # merged lists are new; the blocks are not mutated
+    label = list(range(len(meet)))
+    members = [[x] for x in label]
     queue = [v for pair in pairs for v in pair]
     while queue:
         y = queue.pop()
@@ -168,7 +165,7 @@ def congruence_closure(meet, block_id, blocks, pairs):
         moved = members[ky]
         for w in moved:
             label[w] = kx
-        members[kx] = members[kx] + moved
+        members[kx] += moved
         members[ky] = None
         for u, v in zip(meet[x], meet[y]):
             if label[u] != label[v]:

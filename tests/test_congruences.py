@@ -8,7 +8,7 @@ from slcong import kernels
 from slcong.congruences import (
     Partition,
     _block_pairs,
-    _join_equivalences,
+    _joined_labels,
     _set_partition_ids,
     all_lattice_congruences,
     all_meet_congruences,
@@ -30,6 +30,12 @@ def partial_join_table(S):
     """The join table read off ``partial_join`` on S+, with 0 as the identity."""
     rng = range(S.n)
     return tuple(tuple(S.partial_join(x, y) if x and y else x or y for y in rng) for x in rng)
+
+
+def _join_equivalences(block_id, num_blocks, pairs):
+    """The join as dense block ids, read off the enumeration's label map."""
+    label = _joined_labels(block_id, num_blocks, pairs)
+    return tuple(map(label.__getitem__, block_id))
 
 
 def lattice_congruences_oracle(S):
@@ -157,14 +163,13 @@ def test_join_pair_matches_closure_from_scratch():
     for S in pool:
         cons = all_meet_congruences_bruteforce(S)
         for P in cons:
-            blocks = [list(block) for block in P.blocks]
             above = [Q for Q in cons if P.refines(Q)]
             for x in range(S.n):
                 for y in range(x + 1, S.n):
                     containing = [Q for Q in above if Q.relates(x, y)]
                     least = max(containing, key=lambda Q: Q.num_blocks)
                     assert all(least.refines(Q) for Q in containing)
-                    joined = kernels.congruence_closure(S.meet, P.block_id, blocks, [(x, y)])
+                    joined = congruence_generated(S, _block_pairs(P.block_id) + [(x, y)]).block_id
                     assert joined == least.block_id, (S.meet, P, x, y)
 
 
@@ -183,20 +188,41 @@ def test_equivalence_join_with_a_cover_congruence_is_its_closure(rng):
         for P in all_meet_congruences_bruteforce(S):
             for a, b, cg in generators:
                 joined = _join_equivalences(P.block_id, P.num_blocks, _block_pairs(cg))
-                closed = kernels.congruence_closure(S.meet, P.block_id, P.blocks, [(a, b)])
+                closed = congruence_generated(S, _block_pairs(P.block_id) + [(a, b)]).block_id
                 assert joined == closed, (S.meet, P, a, b)
 
 
 def test_eight_element_congruences_match_join_closed_subset_counts():
     # |Con S| = |Sub(S+)| (the duality), counted by the subset scan, on all
-    # 1078 classes with n = 8; entries are distinct by construction
+    # 1078 classes with n = 8.  Close-by-One keeps no set of found
+    # congruences; only its canonicity test keeps it from listing one twice
     tables = classes(8)
     assert len(tables) == 1078
     for S in tables:
         cons = all_meet_congruences(S)
+        assert len({P.block_id for P in cons}) == len(cons)
         assert len(cons) == PartialJoinStructure(S).count_bruteforce()
         for P in cons:
             assert kernels.op_compatible(S.meet, P.block_id)
+
+
+def test_listing_commutes_with_relabeling(rng):
+    # relabeling reorders S.covers and so the cover congruences that
+    # Close-by-One adds in order, and with them every canonicity test: too
+    # weak a test lists a congruence twice, too strong a one misses some
+    pool = [named(name) for name in NAMED_POOL]
+    for n in range(1, 7):
+        pool += classes(n)
+    for S in pool:
+        cons = all_meet_congruences(S)
+        for _ in range(2):
+            perm = [0] + rng.sample(range(1, S.n), S.n - 1)
+            old = [0] * S.n  # old[perm[x]] = x
+            for x, y in enumerate(perm):
+                old[y] = x
+            moved = {Partition.from_block_id([P.block_id[x] for x in old]) for P in cons}
+            listed = all_meet_congruences(S.relabel(perm))
+            assert len(listed) == len(cons) and set(listed) == moved, (S.meet, perm)
 
 
 def test_chain_congruence_counts_powers():

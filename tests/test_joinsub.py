@@ -4,8 +4,9 @@ import random
 import pytest
 
 from conftest import NAMED_POOL, classes, grown, join_closed_by_mask, random_semilattice, three_b4
+from slcong import joinsub
 from slcong.cli import main
-from slcong.congruences import all_meet_congruences
+from slcong.congruences import Partition, all_meet_congruences
 from slcong.core import extend_below, from_covers, named
 from slcong.errors import (
     ContainsZero,
@@ -374,6 +375,41 @@ def test_verify_duality_rejects_a_dual_twisted_by_an_automorphism(monkeypatch):
 
     monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", twisted)
     with pytest.raises(DualityViolation):
+        verify_duality(named("b4"))
+
+
+def test_verify_duality_rejects_swapped_duals_by_their_block_minima(monkeypatch):
+    # on chain_3 the duals of {1} and {2} are {0}{1, 2} and {0, 1}{2};
+    # swapped, every step still refines and both are congruences, but each
+    # has the other's block minima
+    dual_of_mask = PartialJoinStructure._dual_of_mask
+
+    def swapped(self, mask):
+        return dual_of_mask(self, {0b01: 0b10, 0b10: 0b01}.get(mask, mask))
+
+    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", swapped)
+    with pytest.raises(DualityViolation, match="not the set of block minima"):
+        verify_duality(named("chain_3"))
+
+
+def test_verify_duality_rejects_a_dual_that_is_no_congruence(monkeypatch):
+    # {0, 2}{1} lies between the duals of the empty set and of {1, 2}, and
+    # its block minima are {1}, so only the congruence check sees that it
+    # is not convex
+    dual_of_mask = PartialJoinStructure._dual_of_mask
+
+    def broken(self, mask):
+        return Partition((0, 1, 0)) if mask == 0b01 else dual_of_mask(self, mask)
+
+    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", broken)
+    with pytest.raises(DualityViolation, match="is not a congruence"):
+        verify_duality(named("chain_3"))
+
+
+def test_verify_duality_rejects_a_listing_that_misses_a_congruence(monkeypatch):
+    listing = joinsub.all_meet_congruences
+    monkeypatch.setattr(joinsub, "all_meet_congruences", lambda S: listing(S)[1:])
+    with pytest.raises(DualityViolation, match="dual image differs"):
         verify_duality(named("b4"))
 
 

@@ -106,9 +106,8 @@ def test_closure_is_least_congruence_containing_pairs():
         if S.n > 6:
             continue
         cons = all_meet_congruences_bruteforce(S)
-        singletons = [(x,) for x in range(S.n)]
         for x, y in itertools.combinations(range(S.n), 2):
-            ids = kernels.congruence_closure(S.meet, tuple(range(S.n)), singletons, [(x, y)])
+            ids = kernels.congruence_closure(S.meet, [(x, y)])
             containing = [P for P in cons if P.block_id[x] == P.block_id[y]]
             assert any(P.block_id == ids for P in containing)
             # least: every containing congruence is coarser
@@ -121,5 +120,5 @@ def test_closure_is_least_congruence_containing_pairs():
 def test_closure_block_ids_dense_first_occurrence(rng):
     for _ in range(20):
         S = random_semilattice(rng, rng.randrange(1, 7))
-        ids = kernels.congruence_closure(S.meet, tuple(range(S.n)), [(x,) for x in range(S.n)], [])
+        ids = kernels.congruence_closure(S.meet, [])
         assert ids == tuple(range(S.n))
