@@ -127,12 +127,12 @@ def _block_pairs(block_id) -> list[tuple[int, int]]:
     return [(f, x) for x, k in enumerate(block_id) if (f := first.setdefault(k, x)) != x]
 
 
-def _joined_labels(block_id, num_blocks: int, pairs) -> list[int]:
+def _joined_labels(block_id, num_blocks: int, pairs) -> tuple[list[int], int]:
     """The join, as equivalences, of the partition ``block_id`` (dense
     first-occurrence ids of ``num_blocks`` blocks) and the equivalence
-    generated by ``pairs``, the transitive closure of their union, as a map
+    generated by ``pairs``, the transitive closure of their union: a map
     from each label of ``block_id`` to its block of the join, in dense
-    first-occurrence ids.
+    first-occurrence ids, and the number of blocks of the join.
 
     A union-find over the labels of ``block_id``, in which the larger root
     points at the smaller, so a merged class keeps its least label and the
@@ -158,7 +158,7 @@ def _joined_labels(block_id, num_blocks: int, pairs) -> list[int]:
             live += 1
         else:
             label[k] = label[p]
-    return label
+    return label, live
 
 
 def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
@@ -193,8 +193,11 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
     (Burris & Sankappanavar, *A Course in Universal Algebra*, ch. II; Freese,
     "Computing congruence lattices of finite lattices", Proc. AMS 1997,
     lists Con this way too), formed by ``_joined_labels``; the canonicity
-    test reads its label map before the block ids are built.  The Bell scan
-    stays available as an independent oracle
+    test reads its label map before the block ids are built.  Each listed
+    congruence carries its block count, which ``_joined_labels`` returns,
+    so the list is sorted as plain (-blocks, block ids) tuples, the order of
+    ``_sort_key``, and each is wrapped in a ``Partition`` once, after the
+    sort.  The Bell scan stays available as an independent oracle
     (``all_meet_congruences_bruteforce``).
     """
     if S.n > CONGRUENCE_MAX_N:
@@ -204,11 +207,10 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
         cover_congruences.setdefault(kernels.congruence_closure(S.meet, [(a, b)]), (a, b))
     generators = [(a, b, _block_pairs(cg)) for cg, (a, b) in cover_congruences.items()]
     identity = tuple(range(S.n))
-    listed = [identity]
-    work = [(identity, 0)]  # (theta, index of the first generator to try)
+    listed = [(-S.n, identity)]  # (-blocks, theta), the order of _sort_key
+    work = [(identity, S.n, 0)]  # (theta, its blocks, index of the first generator to try)
     while work:
-        ids, start = work.pop()
-        num_blocks = max(ids, default=-1) + 1
+        ids, num_blocks, start = work.pop()
         apart = []  # theta's labels of the covers of the earlier g_k it leaves apart
         for j, (a, b, pairs) in enumerate(generators):
             u = ids[a]
@@ -216,16 +218,17 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
             if u == v:
                 continue
             if j >= start:
-                label = _joined_labels(ids, num_blocks, pairs)
+                label, blocks = _joined_labels(ids, num_blocks, pairs)
                 for p, q in apart:
                     if label[p] == label[q]:
                         break
                 else:
                     joined = tuple(map(label.__getitem__, ids))
-                    listed.append(joined)
-                    work.append((joined, j + 1))
+                    listed.append((-blocks, joined))
+                    work.append((joined, blocks, j + 1))
             apart.append((u, v))
-    return sorted(map(Partition, listed), key=_sort_key)
+    listed.sort()
+    return [Partition(ids) for _, ids in listed]
 
 
 def _set_partition_ids(n: int):

@@ -516,20 +516,20 @@ def _oracle_fingerprint(S: SemilatticeTable) -> tuple:
     return tuple(sizes), S.ubtas.t
 
 
-def enumerate_semilattices_bruteforce(n: int) -> list[SemilatticeTable]:
-    """Independent oracle: labeled backtracking plus isomorphism partitioning.
+def _labeled_levels(max_n: int) -> list[list[SemilatticeTable]]:
+    """The oracle's labeled tables: entry n - 1 lists every naturally-labeled
+    table with n elements, for n = 1..max(max_n, 1).
 
-    Generates every naturally-labeled table by extending over arbitrary
-    down-sets (keeping extensions where all meets stay defined, checked
-    directly), then partitions the results with the backtracking
-    isomorphism test.  Shares no machinery with the orderly generator.
+    Each level is grown from the one before by extending over arbitrary
+    down-sets, keeping the extensions where all meets stay defined, checked
+    directly.
     """
-    if n > ORACLE_MAX_N:
-        raise TooLarge(f"n={n} exceeds oracle bound {ORACLE_MAX_N}")
-    labeled = [_ONE]
-    for _ in range(n - 1):
+    if max_n > ORACLE_MAX_N:
+        raise TooLarge(f"n={max_n} exceeds oracle bound {ORACLE_MAX_N}")
+    levels = [[_ONE]]
+    for _ in range(max_n - 1):
         nxt = []
-        for S in labeled:
+        for S in levels[-1]:
             below = S.below_mask
             for sub in range(1 << (S.n - 1)):
                 mask = (sub << 1) | 1
@@ -538,7 +538,14 @@ def enumerate_semilattices_bruteforce(n: int) -> list[SemilatticeTable]:
                 child = _extend_checked(S, mask)
                 if child is not None:
                     nxt.append(child)
-        labeled = nxt
+        levels.append(nxt)
+    return levels
+
+
+def _oracle_classes(labeled: list[SemilatticeTable]) -> list[SemilatticeTable]:
+    """One table of each isomorphism class among ``labeled``, sorted by
+    ``meet``: the first of its class in ``labeled``, found by the
+    backtracking isomorphism test within each fingerprint bucket."""
     buckets: dict[tuple, list[SemilatticeTable]] = {}
     for S in labeled:
         buckets.setdefault(_oracle_fingerprint(S), []).append(S)
@@ -551,6 +558,16 @@ def enumerate_semilattices_bruteforce(n: int) -> list[SemilatticeTable]:
         reps.extend(classes)
     reps.sort(key=lambda S: S.meet)
     return reps
+
+
+def enumerate_semilattices_bruteforce(n: int) -> list[SemilatticeTable]:
+    """Independent oracle: labeled backtracking plus isomorphism partitioning.
+
+    Generates every naturally-labeled table (``_labeled_levels``), then
+    partitions the last level with the backtracking isomorphism test
+    (``_oracle_classes``).  Shares no machinery with the orderly generator.
+    """
+    return _oracle_classes(_labeled_levels(n)[-1])
 
 
 @dataclass(frozen=True)

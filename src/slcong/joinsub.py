@@ -221,11 +221,15 @@ class PartialJoinStructure:
         mask = self._as_mask(elements)
         if not self._mask_ok(mask):
             raise NotJoinClosed("subset contains a UBTA without its join")
-        return self._dual_of_mask(mask)
+        return Partition(self._dual_ids(mask))
 
-    def _dual_of_mask(self, mask: int) -> Partition:
+    def _dual_ids(self, mask: int) -> tuple[int, ...]:
+        """The dual of the subset ``mask`` of S+ bits as dense first-occurrence
+        block ids: x's id is the order in which its trace X n down(x) first
+        occurs."""
         full = mask << 1  # back to element bits
-        return Partition.from_block_id([full & below for below in self.host.below_mask])
+        ids: dict[int, int] = {}
+        return tuple([ids.setdefault(full & below, len(ids)) for below in self.host.below_mask])
 
 
 def congruence_count(S: SemilatticeTable) -> int:
@@ -244,15 +248,19 @@ def verify_duality(S: SemilatticeTable) -> DualityReport:
     """Check that the dual map is an order anti-isomorphism onto Con(S).
 
     dual(X) relates x and y iff X meets the down-sets of x and y in the same
-    set.  Each dual is taken as its dense first-occurrence block ids, and
-    for each join-closed X the check asks:
+    set.  Each dual is built once, straight from those traces, as its dense
+    first-occurrence block ids (``PartialJoinStructure._dual_ids``, the
+    ids that ``dual_congruence`` wraps), and for each join-closed X the
+    check asks:
 
     - steps: dual(X u {x}) refines dual(X) for each x not in X with
       X u {x} join-closed, that is, the distinct pairs of their block ids
-      are as many as dual(X u {x}) has blocks;
-    - dual(X) is a meet congruence;
+      are as many as dual(X u {x}) has blocks; the pairs are found from
+      the larger set, by removing each of its elements in turn;
+    - dual(X) is a meet congruence (``kernels.op_compatible``);
     - inverse: X is the set of nonzero least elements of the blocks of
-      dual(X) (the least element of a block is the meet of its members);
+      dual(X) (the least element of a block is the meet of its members),
+      read off the block ids in one pass;
 
     and then that the duals are exactly the block ids of
     ``all_meet_congruences(S)``.  The inverse makes the map injective, so it
@@ -273,14 +281,16 @@ def verify_duality(S: SemilatticeTable) -> DualityReport:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
     pj = PartialJoinStructure(S)
     masks = pj.join_closed_masks()
-    duals = {m: pj._dual_of_mask(m).block_id for m in masks}
-    blocks = {m: max(d) + 1 for m, d in duals.items()}
-    full = (1 << (S.n - 1)) - 1
-    for m, d in duals.items():
-        for x in _bits(full & ~m):
-            up = m | 1 << x
-            step = duals.get(up)
-            if step is not None and len(set(zip(step, d))) != blocks[up]:
+    duals = {m: pj._dual_ids(m) for m in masks}
+    singles = [1 << x for x in range(S.n - 1)]
+    for up, step in duals.items():
+        blocks = max(step) + 1
+        for bit in singles:
+            if not up & bit:
+                continue
+            m = up ^ bit
+            d = duals.get(m)
+            if d is not None and len(set(zip(step, d))) != blocks:
                 raise DualityViolation(
                     f"subsets {m:b}, {up:b}: inclusion is not reversed refinement"
                 )

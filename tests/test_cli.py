@@ -469,6 +469,15 @@ def test_verify_seven_all_claims_pass(capsys):
     assert "n=6: 53 classes" in out and "n=7: 222 classes" in out
 
 
+def test_verify_seven_json_is_pinned(capsys):
+    # the whole stdout, byte for byte: every claim's detail, with its counts
+    path = os.path.join(os.path.dirname(__file__), "data", "verify_7.json")
+    with open(path) as f:
+        expected = f.read()
+    code, out, _ = run(capsys, "verify", "7", "--format", "json")
+    assert code == 0 and out == expected
+
+
 def test_verify_claims_read_the_same_from_shared_and_own_classes():
     # run_claims hands every exhaustive claim the classes of one walk; each
     # claim_ function alone walks for itself

@@ -34,8 +34,10 @@ def partial_join_table(S):
 
 def _join_equivalences(block_id, num_blocks, pairs):
     """The join as dense block ids, read off the enumeration's label map."""
-    label = _joined_labels(block_id, num_blocks, pairs)
-    return tuple(map(label.__getitem__, block_id))
+    label, blocks = _joined_labels(block_id, num_blocks, pairs)
+    joined = tuple(map(label.__getitem__, block_id))
+    assert blocks == max(joined, default=-1) + 1
+    return joined
 
 
 def lattice_congruences_oracle(S):
@@ -135,10 +137,15 @@ def test_congruence_counts(name, count):
     assert len(all_meet_congruences(named(name))) == count
 
 
-def test_fast_path_matches_bell_oracle():
+def test_fast_path_matches_bell_oracle(rng):
+    # the listing's order comes from the block counts it carries, so a
+    # random relabeling of each small class (0 kept least) checks it too
     pool = [named(name) for name in NAMED_POOL]
     for n in range(1, 8):
         pool += classes(n)
+    pool += [
+        S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for n in range(1, 7) for S in classes(n)
+    ]
     for S in pool:
         fast = all_meet_congruences(S)
         slow = all_meet_congruences_bruteforce(S)

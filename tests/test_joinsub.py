@@ -1,10 +1,11 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import NAMED_POOL, classes, grown, join_closed_by_mask, random_semilattice, three_b4
-from slcong import joinsub
+from slcong import joinsub, kernels, verify
 from slcong.cli import main
 from slcong.congruences import Partition, all_meet_congruences
 from slcong.core import extend_below, from_covers, named
@@ -319,7 +320,7 @@ def test_dual_lands_in_congruences():
         pj = PartialJoinStructure(S)
         keys = {P.blocks for P in all_meet_congruences(S)}
         for mask in pj.join_closed_masks():
-            assert pj._dual_of_mask(mask).blocks in keys
+            assert Partition(pj._dual_ids(mask)).blocks in keys
 
 
 # --- full duality ----------------------------------------------------------------
@@ -354,12 +355,12 @@ def test_verify_duality_detects_broken_reversal(monkeypatch, name):
     # onto the congruences but makes the map order-preserving at its ends
     S = named(name)
     full = (1 << (S.n - 1)) - 1
-    dual_of_mask = PartialJoinStructure._dual_of_mask
+    dual_ids = PartialJoinStructure._dual_ids
 
     def swapped(self, mask):
-        return dual_of_mask(self, mask ^ full if mask in (0, full) else mask)
+        return dual_ids(self, mask ^ full if mask in (0, full) else mask)
 
-    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", swapped)
+    monkeypatch.setattr(PartialJoinStructure, "_dual_ids", swapped)
     with pytest.raises(DualityViolation, match="not reversed refinement"):
         verify_duality(S)
 
@@ -367,13 +368,13 @@ def test_verify_duality_detects_broken_reversal(monkeypatch, name):
 def test_verify_duality_rejects_a_dual_twisted_by_an_automorphism(monkeypatch):
     # composing the dual with the swap of b4's atoms 1 and 2 (S+ bits 0 and 1)
     # is still an order anti-isomorphism onto the congruences, but not the dual
-    dual_of_mask = PartialJoinStructure._dual_of_mask
+    dual_ids = PartialJoinStructure._dual_ids
 
     def twisted(self, mask):
         swapped = mask & ~0b11 | (mask & 1) << 1 | (mask >> 1) & 1
-        return dual_of_mask(self, swapped)
+        return dual_ids(self, swapped)
 
-    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", twisted)
+    monkeypatch.setattr(PartialJoinStructure, "_dual_ids", twisted)
     with pytest.raises(DualityViolation):
         verify_duality(named("b4"))
 
@@ -382,12 +383,12 @@ def test_verify_duality_rejects_swapped_duals_by_their_block_minima(monkeypatch)
     # on chain_3 the duals of {1} and {2} are {0}{1, 2} and {0, 1}{2};
     # swapped, every step still refines and both are congruences, but each
     # has the other's block minima
-    dual_of_mask = PartialJoinStructure._dual_of_mask
+    dual_ids = PartialJoinStructure._dual_ids
 
     def swapped(self, mask):
-        return dual_of_mask(self, {0b01: 0b10, 0b10: 0b01}.get(mask, mask))
+        return dual_ids(self, {0b01: 0b10, 0b10: 0b01}.get(mask, mask))
 
-    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", swapped)
+    monkeypatch.setattr(PartialJoinStructure, "_dual_ids", swapped)
     with pytest.raises(DualityViolation, match="not the set of block minima"):
         verify_duality(named("chain_3"))
 
@@ -396,12 +397,12 @@ def test_verify_duality_rejects_a_dual_that_is_no_congruence(monkeypatch):
     # {0, 2}{1} lies between the duals of the empty set and of {1, 2}, and
     # its block minima are {1}, so only the congruence check sees that it
     # is not convex
-    dual_of_mask = PartialJoinStructure._dual_of_mask
+    dual_ids = PartialJoinStructure._dual_ids
 
     def broken(self, mask):
-        return Partition((0, 1, 0)) if mask == 0b01 else dual_of_mask(self, mask)
+        return (0, 1, 0) if mask == 0b01 else dual_ids(self, mask)
 
-    monkeypatch.setattr(PartialJoinStructure, "_dual_of_mask", broken)
+    monkeypatch.setattr(PartialJoinStructure, "_dual_ids", broken)
     with pytest.raises(DualityViolation, match="is not a congruence"):
         verify_duality(named("chain_3"))
 
@@ -411,6 +412,44 @@ def test_verify_duality_rejects_a_listing_that_misses_a_congruence(monkeypatch):
     monkeypatch.setattr(joinsub, "all_meet_congruences", lambda S: listing(S)[1:])
     with pytest.raises(DualityViolation, match="dual image differs"):
         verify_duality(named("b4"))
+
+
+def test_verify_duality_checks_every_dual_against_one_listing(monkeypatch):
+    # one compatibility check per join-closed subset, one listing per table
+    calls = Counter()
+    op_compatible = kernels.op_compatible
+    listing = joinsub.all_meet_congruences
+
+    def counted_op_compatible(op, block_id):
+        calls["op_compatible"] += 1
+        return op_compatible(op, block_id)
+
+    def counted_listing(S):
+        calls["all_meet_congruences"] += 1
+        return listing(S)
+
+    monkeypatch.setattr(kernels, "op_compatible", counted_op_compatible)
+    monkeypatch.setattr(joinsub, "all_meet_congruences", counted_listing)
+    pool = [named(name) for name in ("b4", "n5", "grid2x3")]
+    pool += [S for n in range(1, 6) for S in classes(n)]
+    for S in pool:
+        calls.clear()
+        report = verify_duality(S)
+        subsets = len(PartialJoinStructure(S).join_closed_masks())
+        assert report.subalgebra_count == subsets
+        assert calls == {"op_compatible": subsets, "all_meet_congruences": 1}, S.meet
+
+
+def test_duality_claim_skips_inclusion_exclusion_beyond_its_bound(monkeypatch):
+    # one class with n = 9 has t = 21 UBTAs, beyond the sum's bound of 20;
+    # with the bound lowered to 2, some of the 77 classes with n <= 6 stand in
+    assert "skipped" not in verify.claim_duality(6)
+    monkeypatch.setattr(joinsub, "INCLUSION_EXCLUSION_MAX_T", 2)
+    beyond = sum(S.ubtas.t > 2 for n in range(1, 7) for S in classes(n))
+    assert 0 < beyond < 77
+    assert verify.claim_duality(6).endswith(
+        f"duality bijective; inclusion-exclusion skipped on {beyond} with t > 2"
+    )
 
 
 def test_duality_violation_is_an_internal_inconsistency():
@@ -425,7 +464,7 @@ def test_dual_reverses_inclusion_pairwise():
     tables += [named(name) for name in NAMED_POOL]
     for S in tables:
         pj = PartialJoinStructure(S)
-        duals = [(m, pj._dual_of_mask(m)) for m in pj.join_closed_masks()]
+        duals = [(m, Partition(pj._dual_ids(m))) for m in pj.join_closed_masks()]
         for x, dx in duals:
             for y, dy in duals:
                 assert (x & ~y == 0) == dy.refines(dx), (S.meet, x, y)
