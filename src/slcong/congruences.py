@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .core import SemilatticeTable
+from .core import SemilatticeTable, _bits
 from .errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
 
 CONGRUENCE_MAX_N = 10  # all_meet_congruences and all_lattice_congruences
@@ -232,7 +232,7 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
 
 
 def _set_partition_ids(n: int):
-    """All partitions of {0..n-1} as restricted-growth block-id tuples."""
+    """All partitions of {0..n-1}, n >= 1, as restricted-growth block-id tuples."""
     a = [0] * n
 
     def rec(i: int, nb: int):
@@ -243,9 +243,6 @@ def _set_partition_ids(n: int):
             a[i] = v
             yield from rec(i + 1, nb + 1 if v == nb else nb)
 
-    if n == 0:
-        yield ()
-        return
     yield from rec(1, 1)
 
 
@@ -295,29 +292,23 @@ def all_lattice_congruences(S: SemilatticeTable) -> list[Partition]:
 
 
 def count_interval_block_equivalences(S: SemilatticeTable) -> int:
-    """Number of equivalences on S all of whose blocks are intervals [a, b]."""
+    """Number of equivalences on S all of whose blocks are intervals [a, b].
+
+    A minimal x among the elements not yet in a block has the block [x, b]
+    for some b >= x whose interval lies among them.  Recursing on each b
+    reaches each equivalence once, and [x, x] always fits, so every branch
+    ends in one and the cost grows with the count.
+    """
     if S.n > INTERVAL_BLOCK_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {INTERVAL_BLOCK_MAX_N}")
-    n = S.n
-    meet = S.meet
-    below = S.below_mask
     above = S.above_mask
-    count = 0
-    for ids in _set_partition_ids(n):
-        blocks: dict[int, list[int]] = {}
-        for x, b in enumerate(ids):
-            blocks.setdefault(b, []).append(x)
-        for members in blocks.values():
-            mask = 0
-            a = members[0]
-            for x in members:
-                mask |= 1 << x
-                a = meet[a][x]
-            if not mask & (1 << a):
-                break
-            top = next((x for x in members if mask & ~below[x] == 0), None)
-            if top is None or above[a] & below[top] != mask:
-                break
-        else:
-            count += 1
-    return count
+    below = S.below_mask
+
+    def count(left: int) -> int:
+        if not left:
+            return 1
+        x = next(x for x in _bits(left) if below[x] & left == 1 << x)
+        blocks = (above[x] & below[b] for b in _bits(above[x] & left))
+        return sum(count(left ^ block) for block in blocks if block & left == block)
+
+    return count((1 << S.n) - 1)

@@ -315,15 +315,23 @@ def claim_tree_quotient(max_n: int = SIZES["tree_quotient"][-1], levels=None) ->
 
 
 def _check_convex_block(key, S, k, tally: Counter) -> None:
-    for mask in range(3, 1 << S.n):
-        if mask.bit_count() < 2:
-            continue
-        members = list(_bits(mask))
-        if not S.is_convex_subsemilattice(members):
-            continue
-        cond_b, is_cong = convex_block_congruence_check(S, members)
-        assert cond_b == is_cong, (S.n, members)
-        tally["convex"] += 1
+    # A convex subsemilattice X with |X| >= 2 is the union of the intervals
+    # [u, v], v in A, for its least element u and the antichain A of its
+    # maximal elements, and each nonempty antichain A strictly above u gives
+    # one X.  Each A grows in ascending order: the next v has a larger index
+    # and is incomparable to every v chosen.
+    above = S.above_mask
+    below = S.below_mask
+    for u in range(S.n):
+        work = [(above[u] ^ 1 << u, 0)]  # (the v that may join A, the union of ↓v over A)
+        while work:
+            free, down = work.pop()
+            for v in _bits(free):
+                members = list(_bits(above[u] & (down | below[v])))
+                cond_b, is_cong = convex_block_congruence_check(S, members)
+                assert cond_b == is_cong, (S.n, members)
+                tally["convex"] += 1
+                work.append((free & ~((2 << v) - 1 | above[v] | below[v]), down | below[v]))
 
 
 def claim_convex_block(max_n: int = SIZES["convex_block"][-1], levels=None) -> str:

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 
@@ -385,6 +386,31 @@ def test_interval_block_counts():
     assert count_interval_block_equivalences(named("grid2x3")) == 34
     assert count_interval_block_equivalences(named("chain_6")) == 32
     assert count_interval_block_equivalences(named("chain_1")) == 1
+
+
+def test_interval_block_count_matches_the_definition(rng):
+    # every set partition whose blocks are each the interval from the
+    # block's meet to one of its members, counted on each table and on a
+    # random relabeling (0 kept least) of it
+    pool = [named(name) for name in NAMED_POOL]
+    for n in range(1, 7):
+        pool += classes(n)
+    pool += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in pool]
+    for S in pool:
+        above, below, meet = S.above_mask, S.below_mask, S.meet
+
+        def is_interval(block):
+            mask = sum(1 << x for x in block)
+            a = functools.reduce(lambda x, y: meet[x][y], block)
+            return any(above[a] & below[b] == mask for b in block)
+
+        expected = 0
+        for ids in _set_partition_ids(S.n):
+            blocks = {}
+            for x, k in enumerate(ids):
+                blocks.setdefault(k, []).append(x)
+            expected += all(map(is_interval, blocks.values()))
+        assert count_interval_block_equivalences(S) == expected, S.meet
 
 
 def test_interval_block_bound():

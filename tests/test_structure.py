@@ -1,16 +1,17 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from conftest import NAMED_POOL, classes
-from slcong import enumeration, structure
+from slcong import enumeration, structure, verify
 from slcong.congruences import (
     Partition,
     all_meet_congruences_bruteforce,
     is_meet_congruence,
     quotient,
 )
-from slcong.core import are_isomorphic, attach_above, extend_below, from_covers, named, validate
+from slcong.core import _bits, are_isomorphic, attach_above, extend_below, from_covers, named, validate
 from slcong.errors import (
     InternalInconsistency,
     NotConvexSubsemilattice,
@@ -158,6 +159,31 @@ def test_convex_block_criterion_agrees_small():
                     continue
                 cond_b, is_cong = convex_block_congruence_check(S, members)
                 assert cond_b == is_cong
+
+
+def test_convex_listing_equals_the_definition(monkeypatch, rng):
+    # canonical labels are a linear extension, so u has the least index in
+    # the filter of u; a random relabeling (0 kept least) of each table
+    # fails a listing that assumes it
+    pool = [named(name) for name in NAMED_POOL]
+    for n in range(1, 7):
+        pool += classes(n)
+    pool += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in pool]
+    listed = []
+    check = verify.convex_block_congruence_check
+
+    def spy(S, members):
+        listed.append(tuple(members))
+        return check(S, members)
+
+    monkeypatch.setattr(verify, "convex_block_congruence_check", spy)
+    for S in pool:
+        listed.clear()
+        verify._check_convex_block(None, S, None, Counter())
+        subsets = (tuple(_bits(mask)) for mask in range(1 << S.n) if mask.bit_count() >= 2)
+        expected = [X for X in subsets if S.is_convex_subsemilattice(X)]
+        # sorted lists, so a duplicate or a missing subset fails
+        assert sorted(listed) == sorted(expected), S.meet
 
 
 # --- classifier ----------------------------------------------------------------------
