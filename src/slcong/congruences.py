@@ -233,17 +233,19 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
 
 def _set_partition_ids(n: int):
     """All partitions of {0..n-1}, n >= 1, as restricted-growth block-id tuples."""
-    a = [0] * n
+    return _grown([0] * n, 1, 1)
 
-    def rec(i: int, nb: int):
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(nb + 1):
-            a[i] = v
-            yield from rec(i + 1, nb + 1 if v == nb else nb)
 
-    yield from rec(1, 1)
+def _grown(a: list[int], i: int, nb: int):
+    """Every restricted-growth tuple that extends a[:i], which holds the
+    block ids 0..nb-1.  Module-level, like ``_interval_partitions``: a
+    closure that calls itself is a reference cycle (see ``core``)."""
+    if i == len(a):
+        yield tuple(a)
+        return
+    for v in range(nb + 1):
+        a[i] = v
+        yield from _grown(a, i + 1, nb + 1 if v == nb else nb)
 
 
 def all_meet_congruences_bruteforce(S: SemilatticeTable) -> list[Partition]:
@@ -301,14 +303,16 @@ def count_interval_block_equivalences(S: SemilatticeTable) -> int:
     """
     if S.n > INTERVAL_BLOCK_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {INTERVAL_BLOCK_MAX_N}")
-    above = S.above_mask
-    below = S.below_mask
+    return _interval_partitions((1 << S.n) - 1, S.above_mask, S.below_mask)
 
-    def count(left: int) -> int:
-        if not left:
-            return 1
-        x = next(x for x in _bits(left) if below[x] & left == 1 << x)
-        blocks = (above[x] & below[b] for b in _bits(above[x] & left))
-        return sum(count(left ^ block) for block in blocks if block & left == block)
 
-    return count((1 << S.n) - 1)
+def _interval_partitions(left: int, above: tuple[int, ...], below: tuple[int, ...]) -> int:
+    """The number of partitions of the elements in ``left`` (a bitmask) into
+    intervals [a, b] of S, given S's up-set and down-set masks."""
+    if not left:
+        return 1
+    x = next(x for x in _bits(left) if below[x] & left == 1 << x)
+    blocks = (above[x] & below[b] for b in _bits(above[x] & left))
+    return sum(
+        _interval_partitions(left ^ block, above, below) for block in blocks if block & left == block
+    )

@@ -14,12 +14,13 @@ The walk (``walk``) is depth-first, and each child is searched once: the
 canonical search of a child gives the generators for its orbit test, and a
 kept child is expanded at once, in the labelling it was built in
 (acceptance does not depend on it), with those generators splitting its
-ideals.  An ideal whose child would not put its new element in its largest
-(down-set size, up-set size) color class is dropped before its orbit is
-listed and before the child is built (``_Parent.sized_ideals``), so the
-orbit test alone rejects children: 574 of the 7,944 searched at n <= 9.  The
-walk yields each class as it is found, as the triple of its canonical meet
-key, the table it built and its congruence count, and stores no level.
+ideals.  An ideal whose child would not put its new element in the color
+class of its greatest (down-set size, up-set size) pair is dropped before
+its orbit is listed and before the child is built
+(``_Parent.sized_ideals``), so the orbit test alone rejects children: 574
+of the 7,944 searched at n <= 9.  The walk yields each class as it is
+found, as the triple of its canonical meet key, the table it built and its
+congruence count, and stores no level.
 
 The walk counts each class from its parent, by the augmentation recurrence.
 Let S' be S with a new maximal element m above the join-closed ideal I, and
@@ -181,9 +182,10 @@ class _Parent:
         return [(mask << 1) | 1 for mask in masks]
 
     def sized_ideals(self) -> list[int]:
-        """The ideals I whose child puts its new element in its largest
-        color class (``core._colors``), which holds the deletion target of
-        ``_accepted_canonical``, read off S's masks and I, ascending.
+        """The ideals I whose child puts its new element in the color class
+        of its greatest pair (``core._colors``), which holds the deletion
+        target of ``_accepted_canonical``, read off S's masks and I,
+        ascending.
 
         The new element's (down-set size, up-set size) is (|I| + 1, 1).  An
         old element x keeps its down-set, and its up-set grows only when x

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -14,6 +15,11 @@ from conftest import (
     star,
     three_b4,
     triangle_square,
+)
+from slcong.congruences import (
+    BELL_SCAN_MAX_N,
+    all_meet_congruences_bruteforce,
+    count_interval_block_equivalences,
 )
 from slcong.core import (
     attach_above,
@@ -464,6 +470,29 @@ def test_canonical_search_prunes_by_its_automorphisms():
             assert all(_is_meet_automorphism(T, g) for g in generators)
             assert len(generators) <= n - 1, T.meet
             assert span_order(n, generators) == order, T.meet
+
+
+def test_searches_leave_no_cyclic_garbage(rng):
+    # a recursive closure that refers to itself is a reference cycle, which
+    # each call would leave to the cyclic collector; triangle_square,
+    # three_b4 and star(6) make the canonical search backjump and skip orbits
+    base = [S for n in range(1, 7) for S in classes(n)]
+    base += [named(name) for name in NAMED_POOL]
+    base += [triangle_square(), three_b4(), star(6)]
+    pairs = [(S, S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))) for S in base]
+    gc.collect()
+    gc.disable()
+    try:
+        for S, T in pairs:
+            for U in (S, T):
+                canonical_with_perm(U)
+                if U.n <= BELL_SCAN_MAX_N:
+                    count_interval_block_equivalences(U)
+                    all_meet_congruences_bruteforce(U)
+            assert are_isomorphic(S, T)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_orbit_representatives_match_brute_force_orbits(rng):

@@ -193,7 +193,7 @@ def test_eight_element_count():
 def test_eight_element_canonical_forms_are_pinned():
     # the sha256 of every canonical meet table at n = 8, in output order:
     # the least certificates over the labelings that order the elements by
-    # the rank of (down-set size, up-set size)
+    # their (down-set size, up-set size) pairs
     rows = json.dumps([S.meet for S in classes(8)]).encode()
     assert (
         hashlib.sha256(rows).hexdigest()
@@ -318,7 +318,7 @@ def test_ideals_match_definition(rng):
 
 
 def test_size_pretest_rejects_only_children_the_color_test_rejects(rng):
-    # the colors rank the (down-set size, up-set size) pairs and the deletion
+    # the colors are the (down-set size, up-set size) pairs and the deletion
     # target has the largest, so every child that fails the pretest, were
     # one built, is rejected anyway; and every child the walk builds has its
     # new element in the largest color class, so no color test is needed
