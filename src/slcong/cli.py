@@ -264,10 +264,9 @@ def _add_count(sub):
         "--method",
         choices=_COUNT_METHODS,
         default=None,
-        help="counting route (default: the route classify counts with, incl-excl"
-        " or subsets, whichever is cheaper, on the whole table when n <= 13, and"
-        " components when the UBTA clauses of a larger table split; all runs"
-        " the first three)",
+        help="counting route (default: the route classify counts with,"
+        " components when the UBTA clauses split, else incl-excl or subsets on"
+        " the whole table, whichever is cheaper; all runs the first three)",
     )
     _add_format(p)
     p.set_defaults(func=cmd_count)

@@ -1,12 +1,11 @@
 """The partial join structure on S+ and join-closed subset counting.
 
 A subset of S+ is join-closed iff it violates no UBTA clause a ^ b -> a v b.
-Clauses on disjoint element sets constrain disjoint bits, so for a table
-wider than one scan block (n - 1 > ``kernels.BLOCK_BITS``) ``count`` splits
-the clauses into connected components over the elements they mention,
-counts each component on its own bits, multiplies the results and doubles
-the product once per element that no clause mentions.  Each component, and
-a table that fits in one block or does not split, is counted along one of
+Clauses on disjoint element sets constrain disjoint bits, so ``count``
+splits the clauses into connected components over the elements they
+mention, counts each component on its own bits, multiplies the results and
+doubles the product once per element that no clause mentions.  Each
+component, and a table whose clauses do not split, is counted along one of
 two routes: the kernel's block scan over all subsets of its bits and an
 inclusion-exclusion sum over its clauses.  The whole-table scan and sum stay
 as oracles.  All routes agree with the congruence count of the host
@@ -36,14 +35,16 @@ INCLUSION_EXCLUSION_MAX_T = 20
 
 
 def _method(nbits: int, t: int) -> str | None:
-    """The cheaper in-bounds route for t clauses on nbits bits: "incl-excl"
-    when t <= max(1, nbits - BLOCK_BITS - 1), one clause short of where its
-    2^t terms were measured to cost as much as the block scan, or when the
-    scan is out of bounds; else "subsets"; None when both are out of
-    bounds."""
+    """The in-bounds route for t clauses on nbits bits: "incl-excl" when
+    t <= 1, or when t is in its bound and the scan is not; else "subsets";
+    None when both are out of bounds.
+
+    ``route`` passes no clauses or one component, and t connected clauses
+    mention at most 2t + 1 bits: each names three, each further one at most
+    two new.  On such inputs the sum never won by more than microseconds."""
     ie_ok = t <= INCLUSION_EXCLUSION_MAX_T
     scan_ok = nbits < BRUTE_FORCE_MAX_N
-    if ie_ok and (not scan_ok or t <= max(1, nbits - kernels.BLOCK_BITS - 1)):
+    if ie_ok and (t <= 1 or not scan_ok):
         return "incl-excl"
     return "subsets" if scan_ok else None
 
@@ -170,27 +171,21 @@ class PartialJoinStructure:
         """The counting route ``count`` takes: "components", "incl-excl" or
         "subsets".
 
-        A table whose 2^(n-1) subsets fit in one scan block (n - 1 <=
-        BLOCK_BITS) is counted whole: the one-block scan costs less than
-        splitting its clauses.  A larger table takes "components" when the
-        clauses split nontrivially, into two or more components or into one
-        beside a free bit; each component then takes the cheaper of the two
-        routes below on its own bits.  Otherwise the whole table, w = n - 1
-        bits, takes inclusion-exclusion when t <= max(1, w - BLOCK_BITS - 1)
-        or the scan is out of bounds, and the scan otherwise.  Raises
-        TooLarge, before any count starts, when the whole table or one
-        component is out of both bounds.
+        "components" when the clauses split nontrivially, into two or more
+        components or into one beside a free bit; otherwise the whole table,
+        as one component of n - 1 bits.  Each component takes the route
+        ``_method`` picks for it.  Raises TooLarge, before any count starts,
+        when the whole table or one component is out of both bounds.
         """
-        if self.n - 1 > kernels.BLOCK_BITS:
-            parts, free = self.components
-            if len(parts) > 1 or (parts and free):
-                for width, clauses in parts:
-                    if _method(width, len(clauses)) is None:
-                        raise TooLarge(
-                            f"a component of {width} elements with t={len(clauses)}"
-                            " exceeds both counting bounds"
-                        )
-                return "components"
+        parts, free = self.components
+        if len(parts) > 1 or (parts and free):
+            for width, clauses in parts:
+                if _method(width, len(clauses)) is None:
+                    raise TooLarge(
+                        f"a component of {width} elements with t={len(clauses)}"
+                        " exceeds both counting bounds"
+                    )
+            return "components"
         t = self.host.ubtas.t
         method = _method(self.n - 1, t)
         if method is None:

@@ -86,6 +86,14 @@ def _run(name: str, fn, *args, seconds: float = 0.0) -> ClaimResult:
     return ClaimResult(name, passed, detail, seconds + time.perf_counter() - start)
 
 
+def _require(ok, detail="", *args) -> None:
+    """Raise AssertionError(detail % args, or detail itself with no args)
+    unless ok.  Unlike ``assert`` it also runs under ``python -O``, and a
+    check that passes formats nothing."""
+    if not ok:
+        raise AssertionError(detail % args if args else detail)
+
+
 # Every claim in the order it is reported: the suffix of its claim_ function
 # and its name in the report.
 CLAIMS = {
@@ -170,10 +178,10 @@ def claim_small_spectra(max_n: int = SIZES["small_spectra"][-1], levels=None) ->
     sizes = [n for n in expected if n <= max_n]
     tally = _merged("small_spectra", max_n, levels)
     for n in sizes:
-        found = set(tally.get(n, ()))
-        assert found == expected[n], f"NCsl({n}) = {sorted(found)}, expected {sorted(expected[n])}"
+        found, want = sorted(tally.get(n, ())), sorted(expected[n])
+        _require(found == want, "NCsl(%d) = %s, expected %s", n, found, want)
     m3 = "m3" in tally
-    assert m3 or 5 not in sizes, "M3 is not among the witnesses of 12"
+    _require(m3 or 5 not in sizes, "M3 is not among the witnesses of 12")
     return f"NCsl(n) exact for n in {sizes}" + ("; 12 witnessed by M3" if m3 else "")
 
 
@@ -186,15 +194,14 @@ def _check_top_four(key, S, k, tally: Counter) -> None:
     top = _top_four(n)
     report = classify(S)
     counted, cls = report.congruence_count, report.semilattice_class
-    assert counted == k, f"n={n}: count() gives {counted}, the walk's recurrence {k}"
-    assert (cls == SemilatticeClass.TREE) == (k == top[0]), (n, k, cls)
-    assert (cls == SemilatticeClass.NUCLEUS_B4) == (k == top[1]), (n, k, cls)
-    assert (cls == SemilatticeClass.NUCLEUS_N5) == (k == top[2]), (n, k, cls)
-    assert (
-        cls in (SemilatticeClass.NUCLEUS_F, SemilatticeClass.NUCLEUS_N6)
-    ) == (k == top[3]), (n, k, cls)
+    _require(counted == k, "n=%d: count() gives %d, the walk's recurrence %d", n, counted, k)
+    _require((cls == SemilatticeClass.TREE) == (k == top[0]), (n, k, cls))
+    _require((cls == SemilatticeClass.NUCLEUS_B4) == (k == top[1]), (n, k, cls))
+    _require((cls == SemilatticeClass.NUCLEUS_N5) == (k == top[2]), (n, k, cls))
+    f_or_n6 = cls in (SemilatticeClass.NUCLEUS_F, SemilatticeClass.NUCLEUS_N6)
+    _require(f_or_n6 == (k == top[3]), (n, k, cls))
     for hi, lo in zip(top, top[1:]):
-        assert not lo < k < hi, f"n={n}: {k} lies strictly between {lo} and {hi}"
+        _require(not lo < k < hi, "n=%d: %d lies strictly between %d and %d", n, k, lo, hi)
     tally.setdefault(n, Counter())[k] += 1
 
 
@@ -203,11 +210,11 @@ def claim_top_four(max_n: int = SIZES["top_four"][-1], levels=None) -> str:
     {32,28,26,25}*2^(n-6), attained exactly by the matching classes, with
     no values in the gaps."""
     sizes = range(SIZES["top_four"].start, max_n + 1)
-    assert sizes, "needs n_max >= 6"
+    _require(sizes, "needs n_max >= 6")
     tally = _merged("top_four", max_n, levels)
     for n in sizes:
         found = sorted(tally.get(n, ()), reverse=True)[:4]
-        assert found == _top_four(n), f"n={n}: top values {found}"
+        _require(found == _top_four(n), "n=%d: top values %s", n, found)
     return "; ".join(
         f"n={n}: {sum(tally[n].values())} classes, top {_top_four(n)}" for n in sizes
     )
@@ -240,24 +247,24 @@ def claim_fixture_counts() -> str:
     six, twelve, thirteen = _fixture_families()
     for S in six:
         report = classify(S)
-        assert S.n == 6 and report.semilattice_class == SemilatticeClass.NUCLEUS_B4
-        assert report.congruence_count == 28, report.congruence_count
+        _require(S.n == 6 and report.semilattice_class == SemilatticeClass.NUCLEUS_B4)
+        _require(report.congruence_count == 28, report.congruence_count)
     five = classify(attach_above(named("b4"), 3, named("chain_1")))
-    assert five.n == 5 and five.congruence_count == 14, five.congruence_count
+    _require(five.n == 5 and five.congruence_count == 14, five.congruence_count)
     skels = []
     for S in twelve:
         report = classify(S)
-        assert S.n == 12 and report.semilattice_class == SemilatticeClass.NUCLEUS_N5
-        assert report.congruence_count == 1664, report.congruence_count
+        _require(S.n == 12 and report.semilattice_class == SemilatticeClass.NUCLEUS_N5)
+        _require(report.congruence_count == 1664, report.congruence_count)
         skels.append(report.skeleton)
-    assert all(are_isomorphic(skels[0], sk) for sk in skels[1:]), "skeletons differ"
+    _require(all(are_isomorphic(skels[0], sk) for sk in skels[1:]), "skeletons differ")
     skels = []
     for S, expected_class in thirteen:
         report = classify(S)
-        assert S.n == 13 and report.semilattice_class == expected_class
-        assert report.congruence_count == 3200, report.congruence_count
+        _require(S.n == 13 and report.semilattice_class == expected_class)
+        _require(report.congruence_count == 3200, report.congruence_count)
         skels.append(report.skeleton)
-    assert all(are_isomorphic(skels[0], sk) for sk in skels[1:]), "skeletons differ"
+    _require(all(are_isomorphic(skels[0], sk) for sk in skels[1:]), "skeletons differ")
     return "28 at n=6 (x3), 14 at n=5, 1664 at n=12 (x3, common skeleton), 3200 at n=13 (x4, common skeleton)"
 
 
@@ -269,7 +276,7 @@ def _check_duality(key, S, k, tally: Counter) -> None:
         counts.append(pj.count_inclusion_exclusion())
     else:
         tally["beyond_incl_excl"] += 1
-    assert len(set(counts)) == 1, (S.n, counts)
+    _require(len(set(counts)) == 1, (S.n, counts))
     tally["classes"] += 1
 
 
@@ -279,10 +286,11 @@ def claim_duality(max_n: int = SIZES["duality"][-1], levels=None) -> str:
     the dual map is an inclusion-reversing bijection, for every
     semilattice with n <= max_n.
 
-    For n <= 13 the default route counts the whole table with the kernel
-    pass of the subset listing or with the inclusion-exclusion sum, and the
-    recurrence counts with the kernel pass of the class's parent, so
-    neither is a further independent route; the congruence listing and the
+    The default route counts a class whose UBTA clauses split as a product
+    over the components, and any other class with the kernel pass of the
+    subset listing or with the inclusion-exclusion sum; the recurrence
+    counts with the kernel pass of the class's parent.  So neither is a
+    further independent route; the congruence listing and the
     inclusion-exclusion sum share no code with the recurrence.  A class
     with more UBTAs than ``joinsub.INCLUSION_EXCLUSION_MAX_T`` is beyond the
     sum's bound; its other four counts are still compared, and the detail
@@ -304,7 +312,7 @@ def claim_duality(max_n: int = SIZES["duality"][-1], levels=None) -> str:
 
 def _check_tree_quotient(key, S, k, tally: Counter) -> None:
     Q, _ = quotient(S, tree_congruence(S))
-    assert validate(Q.meet) == Q and is_tree(Q), f"non-tree quotient at n={S.n}"
+    _require(validate(Q.meet) == Q and is_tree(Q), "non-tree quotient at n=%d", S.n)
     tally["classes"] += 1
 
 
@@ -329,7 +337,7 @@ def _check_convex_block(key, S, k, tally: Counter) -> None:
             for v in _bits(free):
                 members = list(_bits(above[u] & (down | below[v])))
                 cond_b, is_cong = convex_block_congruence_check(S, members)
-                assert cond_b == is_cong, (S.n, members)
+                _require(cond_b == is_cong, (S.n, members))
                 tally["convex"] += 1
                 work.append((free & ~((2 << v) - 1 | above[v] | below[v]), down | below[v]))
 
@@ -351,11 +359,11 @@ def _check_lattice_bound(key, S, k, tally: Counter) -> None:
         low = high = block[0]
         for x in block:
             low, high = S.meet[low][x], join[high][x]
-        assert block == S.interval(low, high), (n, block)
+        _require(block == S.interval(low, high), (n, block))
     bound = 1 << (n - 1)
-    assert len(lattice_cons) <= bound, (n, len(lattice_cons))
+    _require(len(lattice_cons) <= bound, (n, len(lattice_cons)))
     chain = all(d | u == (1 << n) - 1 for d, u in zip(S.below_mask, S.above_mask))
-    assert (len(lattice_cons) == bound) == chain, (n, len(lattice_cons))
+    _require((len(lattice_cons) == bound) == chain, (n, len(lattice_cons)))
     tally["lattices"] += 1
 
 
@@ -372,9 +380,9 @@ def claim_interval_blocks() -> str:
     grid = count_interval_block_equivalences(named("grid2x3"))
     chain = count_interval_block_equivalences(named("chain_6"))
     single = count_interval_block_equivalences(named("chain_1"))
-    assert grid == 34, grid
-    assert chain == 32, chain
-    assert single == 1, single
+    _require(grid == 34, grid)
+    _require(chain == 32, chain)
+    _require(single == 1, single)
     return f"grid2x3: {grid}, chain_6: {chain}, chain_1: {single}"
 
 
@@ -391,7 +399,7 @@ def claim_enumeration_oracle(max_n: int = SIZES["enumeration_oracle"][-1], level
     for n in sizes:
         slow = _oracle_classes(labeled[n - 1])
         if n <= len(expected):
-            assert len(slow) == expected[n - 1], (n, len(slow))
+            _require(len(slow) == expected[n - 1], (n, len(slow)))
         unmatched: dict[tuple, list] = {}  # unpaired oracle classes, by fingerprint
         for R in slow:
             unmatched.setdefault(_oracle_fingerprint(R), []).append(R)
@@ -401,9 +409,10 @@ def claim_enumeration_oracle(max_n: int = SIZES["enumeration_oracle"][-1], level
             S = _table(key, n)
             pool = unmatched.get(_oracle_fingerprint(S), [])
             i = next((i for i, R in enumerate(pool) if are_isomorphic(S, R)), None)
-            assert i is not None, f"a generated table matches no unpaired oracle class at n={n}"
+            _require(i is not None, "a generated table matches no unpaired oracle class at n=%d", n)
             pool.pop(i)
-        assert not any(unmatched.values()), f"an oracle class at n={n} matches no generated table"
+        left = any(unmatched.values())
+        _require(not left, "an oracle class at n=%d matches no generated table", n)
     counts = [len(generated.get(n, ())) for n in sizes]
     return f"n <= {max_n}: class counts {counts} match the oracle"
 

@@ -1,7 +1,10 @@
+import ast
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -188,8 +191,8 @@ def test_count_components_route(capsys):
 
 
 def test_count_components_route_agrees_with_subsets_and_incl_excl(capsys):
-    # components needs n - 1 > 12, beyond the congruence bound, so
-    # --method=all refuses such a table; the scan and the sum check it
+    # n = 14 is beyond the congruence bound, so --method=all refuses this
+    # table; the scan and the sum check it
     table = json.dumps(extend_below(three_b4(), 4).to_obj())
     for method in ("subsets", "incl-excl"):
         code, out, _ = run(capsys, "count", table, f"--method={method}")
@@ -199,8 +202,9 @@ def test_count_components_route_agrees_with_subsets_and_incl_excl(capsys):
 
 
 def test_count_counts_three_b4_whole(capsys):
+    # three_b4 itself, not extended below: its three b4 components split
     code, out, _ = run(capsys, "count", json.dumps(three_b4().to_obj()))
-    assert code == 0 and out == "subsets: 343 = 343/16*2^(10-6)\n"
+    assert code == 0 and out == "components: 343 = 343/16*2^(10-6)\n"
 
 
 # --- classify -------------------------------------------------------------------
@@ -506,6 +510,33 @@ def test_verify_check_that_raises_fails_only_its_own_claim(capsys, monkeypatch):
     ]
     assert "FAIL tree-quotient (ValueError: broken on purpose)" in out
     assert len(seen) == 40  # the failed check got no more of the 77 classes
+
+
+def test_verify_claims_check_under_python_O():
+    # python -O strips assert statements; a wrong top four must still fail
+    script = (
+        "from slcong import verify\n"
+        "verify._top_four = lambda n: [1, 2, 3, 4]\n"
+        "[r] = [r for r in verify.run_claims(6, jobs=1) if r.claim == 'top-four-values']\n"
+        "print(r.passed, r.detail)\n"
+    )
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.startswith("False AssertionError: (6, ")
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O would skip it; checks raise through verify._require instead
+    package = os.path.dirname(verify.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, (name, lines)
 
 
 # --- export-dot ------------------------------------------------------------------------

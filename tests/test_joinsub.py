@@ -177,6 +177,21 @@ def test_default_route_matches_the_scan_exhaustively():
                 assert pj.count() == expected << (14 - n), T.meet
 
 
+def test_small_classes_split_exactly_when_their_clauses_do():
+    # each class at its own size, not extended below
+    for n in range(1, 9):
+        for S in classes(n):
+            groups = []  # the elements of each clause component
+            for ubta in S.ubtas:
+                meets = [g for g in groups if g & set(ubta)]
+                groups = [g for g in groups if g not in meets] + [set(ubta).union(*meets)]
+            free = n - 1 - sum(map(len, groups))
+            splits = len(groups) > 1 or (len(groups) == 1 and free > 0)
+            pj = PartialJoinStructure(S)
+            assert (pj.route() == "components") == splits, S.meet
+            assert pj.count() == pj.count_bruteforce(), S.meet
+
+
 def test_catalog_tables_do_not_split():
     for name in NAMED_POOL + ("chain_30",):
         assert PartialJoinStructure(named(name)).route() != "components", name
@@ -193,7 +208,7 @@ def test_catalog_tables_do_not_split():
     ],
 )
 def test_one_block_tables_are_counted_whole(name, route):
-    # n - 1 <= BLOCK_BITS: one scan block, cheaper than splitting the clauses
+    # each table's clauses form one component over all of S+, so none splits
     assert PartialJoinStructure(named(name)).route() == route
 
 
@@ -206,8 +221,10 @@ def test_one_block_tables_are_counted_whole(name, route):
         (24, 16, "subsets"),
         (24, 12, "subsets"),
         (20, 12, "subsets"),
-        (24, 11, "incl-excl"),
-        (20, 7, "incl-excl"),
+        # the sum measured faster on these two, but no table gives them:
+        # t connected clauses mention at most 2t + 1 bits
+        (24, 11, "subsets"),
+        (20, 7, "subsets"),
         (12, 1, "incl-excl"),
         (12, 2, "subsets"),
         (25, 20, "incl-excl"),
@@ -238,9 +255,8 @@ def test_three_b4_counts_as_a_product():
     assert pj.route() == "components"
     assert pj.count() == 5488 == 7**3 * 16
     assert PartialJoinStructure(extend_below(three_b4(), 2)).components[1] == 2
-    # ten elements fit in one scan block, so three_b4 itself is scanned whole
     pj = PartialJoinStructure(three_b4())
-    assert pj.route() == "subsets" and pj.count() == 343
+    assert pj.route() == "components" and pj.count() == 343
 
 
 def test_wide_scan_counts_a_fan_under_a_chain(capsys):
@@ -272,6 +288,22 @@ def test_grown_tables_count_as_their_blocks_predict(capsys, base):
         assert pj.count() == expected
         assert main(["classify", json.dumps(S.to_obj()), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["congruence_count"] == expected
+
+
+def test_connected_clauses_mention_at_most_2t_plus_1_elements():
+    # why _method needs no width rule: a clause names three elements and
+    # each further clause of a component adds at most two
+    rng = random.Random(9)
+    bases = (fan(7), three_b4(), named("grid2x3"), from_covers(STACKED_B4))
+    tables = [grown(rng, base, n) for base in bases for n in (26, 28, 30)]
+    for n in range(1, 9):
+        for S in classes(n):
+            perm = list(range(1, n))
+            rng.shuffle(perm)
+            tables += (S, S.relabel([0] + perm))
+    for S in tables:
+        for width, clauses in PartialJoinStructure(S).components[0]:
+            assert width <= 2 * len(clauses) + 1, S.meet
 
 
 @pytest.mark.parametrize("below", [0, 1], ids=["whole", "component"])

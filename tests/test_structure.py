@@ -148,19 +148,6 @@ def test_convex_block_rejects():
         convex_block_congruence_check(named("n5"), [1, 2])
 
 
-def test_convex_block_criterion_agrees_small():
-    for n in range(2, 6):
-        for S in classes(n):
-            for mask in range(1 << n):
-                if mask.bit_count() < 2:
-                    continue
-                members = [x for x in range(n) if mask >> x & 1]
-                if not S.is_convex_subsemilattice(members):
-                    continue
-                cond_b, is_cong = convex_block_congruence_check(S, members)
-                assert cond_b == is_cong
-
-
 def test_convex_listing_equals_the_definition(monkeypatch, rng):
     # canonical labels are a linear extension, so u has the least index in
     # the filter of u; a random relabeling (0 kept least) of each table
