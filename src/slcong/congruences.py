@@ -5,10 +5,10 @@ with the meet; its blocks are convex and meet-closed.  A partition is
 stored only as its dense first-occurrence block ids, the form the closure
 kernel returns, so each partition has one representation and congruence
 lists are reproducible.  That kernel, ``kernels.congruence_closure``, is
-the one closure, and it always grows from the identity: for generated
-congruences and for the cover congruences Cg(a, b) of enumeration.  The
-rest of enumeration reads no meet, since the join of two congruences is
-their join as equivalences (Burris & Sankappanavar, *A Course in Universal
+the one closure: it reads generated congruences and the cover congruences
+Cg(a, b) of enumeration off the down-sets, and reads no meet.  Neither
+does the rest of enumeration, since the join of two congruences is their
+join as equivalences (Burris & Sankappanavar, *A Course in Universal
 Algebra*, ch. II), a union-find over blocks.  Enumeration is Close-by-One
 over the cover congruences (Kuznetsov 1993; Ganter, ICFCA 2010): each
 congruence is the join of the cover congruences below it, and it is
@@ -117,7 +117,7 @@ def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     for x, y in pairs:
         if not (0 <= x < S.n and 0 <= y < S.n):
             raise SizeMismatch(f"pair ({x},{y}) out of range")
-    return Partition(kernels.congruence_closure(S.meet, pairs))
+    return Partition(kernels.congruence_closure(S.below_mask, pairs))
 
 
 def _block_pairs(block_id) -> list[tuple[int, int]]:
@@ -186,25 +186,24 @@ def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
     theta v g_j only when that relates no earlier g_k which theta leaves
     apart: then theta is the canonical parent of theta v g_j.
 
-    The meet is read once per cover: ``kernels.congruence_closure`` grows
-    each Cg(a, b) from the identity, and equal ones are kept once.  After
-    that no meet is read, because the join of two congruences in Con(S) is
-    their join as equivalences, the transitive closure of their union
-    (Burris & Sankappanavar, *A Course in Universal Algebra*, ch. II; Freese,
-    "Computing congruence lattices of finite lattices", Proc. AMS 1997,
-    lists Con this way too), formed by ``_joined_labels``; the canonicity
-    test reads its label map before the block ids are built.  Each listed
-    congruence carries its block count, which ``_joined_labels`` returns,
-    so the list is sorted as plain (-blocks, block ids) tuples, the order of
-    ``_sort_key``, and each is wrapped in a ``Partition`` once, after the
-    sort.  The Bell scan stays available as an independent oracle
+    No meet is read: ``kernels.congruence_closure`` reads each Cg(a, b) off
+    the down-sets, and equal ones are kept once.  The join of two congruences
+    in Con(S) is their join as equivalences, the transitive closure of their
+    union (Burris & Sankappanavar, *A Course in Universal Algebra*, ch. II;
+    Freese, "Computing congruence lattices of finite lattices", Proc. AMS
+    1997, lists Con this way too), formed by ``_joined_labels``; the
+    canonicity test reads its label map before the block ids are built.
+    Each listed congruence carries its block count, which ``_joined_labels``
+    returns, so the list is sorted as plain (-blocks, block ids) tuples, the
+    order of ``_sort_key``, and each is wrapped in a ``Partition`` once,
+    after the sort.  The Bell scan stays available as an independent oracle
     (``all_meet_congruences_bruteforce``).
     """
     if S.n > CONGRUENCE_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
     cover_congruences = {}
     for a, b in S.covers:
-        cover_congruences.setdefault(kernels.congruence_closure(S.meet, [(a, b)]), (a, b))
+        cover_congruences.setdefault(kernels.congruence_closure(S.below_mask, [(a, b)]), (a, b))
     generators = [(a, b, _block_pairs(cg)) for cg, (a, b) in cover_congruences.items()]
     identity = tuple(range(S.n))
     listed = [(-S.n, identity)]  # (-blocks, theta), the order of _sort_key

@@ -497,7 +497,8 @@ def extend_below(S: SemilatticeTable, k: int) -> SemilatticeTable:
 # runs: one per search made the collector 8.7% of ``spectrum(9, top=4,
 # jobs=1)`` (0.064 of 0.735 s, Python 3.11 on 2 cores), 0.6% without.  So
 # ``rec`` is cleared when a search ends, here and in ``_iso_search``, and
-# the recursions of ``congruences`` are module-level functions.
+# the recursions of ``congruences`` and ``enumeration`` are module-level
+# functions; the congruence closure reads down-sets, no meet, and has none.
 # ---------------------------------------------------------------------------
 
 

@@ -297,35 +297,36 @@ def walk(max_n: int, share: int = 0, jobs: int = 1) -> Iterator[tuple[bytes, Sem
     A parent is extended by the least ideal of each Aut(parent)-orbit whose
     child passes the size pretest (``_Parent.sized_ideals``), which keeps or
     drops whole orbits."""
-    roots = counter()
-
-    def expand(
-        S: SemilatticeTable, generators: list[list[int]], k: int
-    ) -> Iterator[tuple[bytes, SemilatticeTable, int]]:
-        parent = _Parent(S)
-        if parent.count != k:
-            raise InternalInconsistency(
-                f"a class with {S.n} elements has {parent.count} join-closed subsets,"
-                f" its parent's recurrence gave {k}"
-            )
-        for mask in _orbit_representatives(parent.sized_ideals(), generators):
-            child = _extend(S, mask)
-            kept = _accepted_canonical(child)
-            if kept is None:
-                continue
-            K, child_generators = kept
-            if K.n == SPLIT_N and not _owns(next(roots), share, jobs):
-                continue
-            child_k = parent.child_count(mask)
-            if share == 0 or K.n >= SPLIT_N:
-                yield _key(K), child, child_k
-            if child.n < max_n:
-                yield from expand(child, child_generators, child_k)
-
     if share == 0:
         yield _key(_ONE), _ONE, 1
     if max_n > 1:
-        yield from expand(_ONE, [], 1)
+        yield from _expanded(_ONE, [], 1, max_n, share, jobs, counter())
+
+
+def _expanded(
+    S: SemilatticeTable, generators: list, k: int, max_n: int, share: int, jobs: int, roots
+) -> Iterator[tuple[bytes, SemilatticeTable, int]]:
+    """What ``walk(max_n, share, jobs)`` reports below S, which has these
+    generators and k congruences; ``roots`` counts the roots met so far."""
+    parent = _Parent(S)
+    if parent.count != k:
+        raise InternalInconsistency(
+            f"a class with {S.n} elements has {parent.count} join-closed subsets,"
+            f" its parent's recurrence gave {k}"
+        )
+    for mask in _orbit_representatives(parent.sized_ideals(), generators):
+        child = _extend(S, mask)
+        kept = _accepted_canonical(child)
+        if kept is None:
+            continue
+        K, child_generators = kept
+        if K.n == SPLIT_N and not _owns(next(roots), share, jobs):
+            continue
+        child_k = parent.child_count(mask)
+        if share == 0 or K.n >= SPLIT_N:
+            yield _key(K), child, child_k
+        if child.n < max_n:
+            yield from _expanded(child, child_generators, child_k, max_n, share, jobs, roots)
 
 
 def _key(S: SemilatticeTable) -> bytes:

@@ -1,5 +1,6 @@
 """The hot loops: join-closed subset scans, compatibility checks, and the
-package's one congruence closure, which merges blocks.
+package's one congruence closure, which reads generated congruences off
+down-sets.
 
 Subsets of S+ = S\\{0} are bitmasks: element i of S+ (i = 1..n-1) is bit
 i-1.  A clause is a pair of such masks (need, join): a subset violates it
@@ -130,47 +131,28 @@ def op_compatible(op, block_id):
     return True
 
 
-def congruence_closure(meet, pairs):
-    """The least congruence of the meet table ``meet`` that relates every
-    (x, y) in pairs.
+def congruence_closure(below, pairs):
+    """The least congruence relating every (x, y) in pairs, of the meet
+    semilattice with down-set masks ``below`` (bit z of ``below[x]`` is set
+    iff z <= x), as dense first-occurrence block ids: with D the union of
+    ↓x △ ↓y over the pairs, x ~ y iff ``below[x] & ~D == below[y] & ~D``.
 
-    Starting from singleton blocks, two blocks merge at a time, the one with
-    the larger label taking the smaller label, and for each pair (x, y) that
-    merged two blocks, (x^z, y^z) is pushed for every z.  Nothing else is
-    rescanned: the result is the equivalence generated by the given pairs
-    and the merging pairs.  Each given pair is related and each merging pair
-    is compatible with the meet, since its meets with every z were pushed
-    and so end up related.  Compatibility carries along chains of merging
-    pairs by transitivity, and every merge is forced, so the result is the
-    least such congruence.  Returns dense first-occurrence block ids, as a
-    tuple.
+    Every semilattice is a subdirect product of copies of 2 (Burris &
+    Sankappanavar, *A Course in Universal Algebra*, ch. II), and these are
+    the copies:
+
+    - For each c, ψ_c splits S into ↑c and the rest, and is a congruence,
+      since x ^ z >= c iff x >= c and z >= c.
+    - Let θ be a congruence and x, y lie in different θ-blocks, say
+      [y] ≱ [x].  Put F = {z : [z] >= [x]}.  F is a θ-saturated filter, so
+      F = ↑c for c = ∧F.  Then θ ⊆ ψ_c, and ψ_c separates x from y.
+    - So θ is the intersection of the ψ_c that contain it.  For θ = Cg(P),
+      ψ_c contains θ exactly when it relates every pair of P, that is when
+      c ∉ D; and x ψ_c y iff c lies in both ↓x and ↓y or in neither.
     """
-    label = list(range(len(meet)))
-    members = [[x] for x in label]
-    queue = [v for pair in pairs for v in pair]
-    while queue:
-        y = queue.pop()
-        x = queue.pop()
-        kx = label[x]
-        ky = label[y]
-        if kx == ky:
-            continue
-        if kx > ky:
-            kx, ky = ky, kx
-        moved = members[ky]
-        for w in moved:
-            label[w] = kx
-        members[kx] += moved
-        members[ky] = None
-        for u, v in zip(meet[x], meet[y]):
-            if label[u] != label[v]:
-                queue += (u, v)
-    # a merged block keeps its least label, so the live labels are already in
-    # first-occurrence order and renumbering only closes the gaps
-    dense = []
-    live = 0
-    for m in members:
-        dense.append(live)
-        if m is not None:
-            live += 1
-    return tuple(map(dense.__getitem__, label))
+    cut = 0
+    for x, y in pairs:
+        cut |= below[x] ^ below[y]
+    keep = ~cut
+    ids = {}
+    return tuple([ids.setdefault(down & keep, len(ids)) for down in below])

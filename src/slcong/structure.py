@@ -74,9 +74,10 @@ def scaled_threshold(c: int, n: int) -> int:
 
 
 def tree_congruence(S: SemilatticeTable) -> Partition:
-    """The congruence generated by all pairs (a^b, a v b) over UBTAs {a, b}."""
-    pairs = [(S.meet[a][b], v) for a, b, v in S.ubtas]
-    return congruence_generated(S, pairs)
+    """The congruence generated by all pairs (a^b, a v b) over UBTAs {a, b},
+    or by (a, a v b) and (b, a v b), read off the down-sets with no meet
+    read: ↓(a v b) \\ ↓(a^b) = (↓(a v b) \\ ↓a) ∪ (↓(a v b) \\ ↓b)."""
+    return congruence_generated(S, [(x, v) for a, b, v in S.ubtas for x in (a, b)])
 
 
 def is_tree(S: SemilatticeTable) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -72,6 +73,20 @@ def test_walk_pairs_each_key_with_the_class_it_built(rng):
         T = S.relabel([0] + rng.sample(range(1, S.n), S.n - 1))
         assert canonical_with_perm(T)[1].index(S.n - 1) in T.maximal_elements, T.meet
     assert relabeled > 0
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # a recursion nested in walk would refer to itself, a reference cycle
+    # that each walk would leave to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in walk(7):
+            pass
+        spectrum(7, jobs=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_walk_counts_each_class_by_the_recurrence():

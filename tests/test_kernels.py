@@ -100,15 +100,20 @@ def test_op_compatible_against_definition(rng):
         assert kernels.op_compatible(S.meet, ids) == compatible
 
 
-def test_closure_is_least_congruence_containing_pairs():
-    for name in NAMED_POOL:
-        S = named(name)
-        if S.n > 6:
-            continue
+def test_closure_is_least_congruence_containing_pairs(rng):
+    tables = [S for n in range(1, 7) for S in classes(n)]
+    tables += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in tables]
+    tables += [S for S in map(named, NAMED_POOL) if S.n <= 6]
+    for S in tables:
         cons = all_meet_congruences_bruteforce(S)
-        for x, y in itertools.combinations(range(S.n), 2):
-            ids = kernels.congruence_closure(S.meet, [(x, y)])
-            containing = [P for P in cons if P.block_id[x] == P.block_id[y]]
+        pair_sets = [[(x, y)] for x, y in itertools.combinations(range(S.n), 2)]
+        pair_sets += [
+            [(rng.randrange(S.n), rng.randrange(S.n)) for _ in range(rng.randint(0, 3))]
+            for _ in range(4)
+        ]
+        for pairs in pair_sets:
+            ids = kernels.congruence_closure(S.below_mask, pairs)
+            containing = [P for P in cons if all(P.block_id[x] == P.block_id[y] for x, y in pairs)]
             assert any(P.block_id == ids for P in containing)
             # least: every containing congruence is coarser
             for P in containing:
@@ -120,5 +125,5 @@ def test_closure_is_least_congruence_containing_pairs():
 def test_closure_block_ids_dense_first_occurrence(rng):
     for _ in range(20):
         S = random_semilattice(rng, rng.randrange(1, 7))
-        ids = kernels.congruence_closure(S.meet, [])
+        ids = kernels.congruence_closure(S.below_mask, [])
         assert ids == tuple(range(S.n))

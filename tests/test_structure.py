@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import NAMED_POOL, classes
+from conftest import NAMED_POOL, classes, grown
 from slcong import enumeration, structure, verify
 from slcong.congruences import (
     Partition,
@@ -90,6 +90,22 @@ def test_tcon_not_minimal_tree_quotient():
     assert is_meet_congruence(b4, P)
     assert P.refines(tcon) and P.blocks != tcon.blocks
     assert is_tree(quotient(b4, P)[0])
+
+
+def test_tree_congruence_joins_the_ubta_intervals_on_grown_tables(rng):
+    # grown tables reach sizes no Bell scan does
+    for name in ("b4", "n5", "f", "n6"):
+        for n in (12, 30, 60, 120):
+            S = grown(rng, named(name), n)
+            assert tree_congruence(S) == verify._ubta_intervals(S), (name, n)
+
+
+def test_tree_quotient_claim_fails_on_a_one_block_tree_congruence(monkeypatch):
+    # the quotient by the one-block partition is the one-element tree, so
+    # only the comparison with the UBTA intervals catches this
+    monkeypatch.setattr(verify, "tree_congruence", lambda S: Partition.single_block(S.n))
+    with pytest.raises(AssertionError, match="differs from the UBTA intervals"):
+        verify.claim_tree_quotient(7)
 
 
 # --- tree / quasi-tree predicates ------------------------------------------------
