@@ -4,15 +4,14 @@ A congruence of a meet semilattice is an equivalence relation compatible
 with the meet; its blocks are convex and meet-closed.  A partition is
 stored only as its dense first-occurrence block ids, the form the closure
 kernel returns, so each partition has one representation and congruence
-lists are reproducible.  That kernel, ``kernels.congruence_closure``, is
-the one closure: it reads generated congruences and the cover congruences
-Cg(a, b) of enumeration off the down-sets, and reads no meet.  Neither
-does the rest of enumeration, since the join of two congruences is their
-join as equivalences (Burris & Sankappanavar, *A Course in Universal
-Algebra*, ch. II), a union-find over blocks.  Enumeration is Close-by-One
-over the cover congruences (Kuznetsov 1993; Ganter, ICFCA 2010): each
-congruence is the join of the cover congruences below it, and it is
-reached once, from one canonical parent.
+lists are reproducible.  That kernel, ``kernels.congruence_closure``,
+reads generated congruences off the down-sets and reads no meet.
+Enumeration runs no closure at all: a congruence is fixed by its cut, the
+union of ↓x △ ↓y over its pairs, and the join of two congruences has the
+union of their cuts (Burris & Sankappanavar, *A Course in Universal
+Algebra*, ch. II).  So Con(S) is listed on cuts, plain ints, as the unions
+of the cover cuts ↓b ∖ ↓a, by Close-by-One (Kuznetsov 1993; Ganter, ICFCA
+2010): each union is reached once, from one canonical parent.
 """
 
 from __future__ import annotations
@@ -27,6 +26,13 @@ from .errors import NotACongruence, NotALattice, SizeMismatch, TooLarge
 CONGRUENCE_MAX_N = 10  # all_meet_congruences and all_lattice_congruences
 BELL_SCAN_MAX_N = 8  # all_meet_congruences_bruteforce
 INTERVAL_BLOCK_MAX_N = 10  # count_interval_block_equivalences
+
+
+def _element(x):
+    """x, if it is a plain int (not a bool); else SizeMismatch naming it."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise SizeMismatch(f"element {x!r} is not an int")
+    return x
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class Partition:
     def from_blocks(cls, n: int, blocks) -> "Partition":
         ids = [-1] * n
         for i, block in enumerate(blocks):
-            members = sorted(block)
+            members = sorted(map(_element, block))
             if not members:
                 raise SizeMismatch("empty block")
             for x in members:
@@ -113,121 +119,78 @@ def is_meet_congruence(S: SemilatticeTable, P: Partition) -> bool:
 
 def congruence_generated(S: SemilatticeTable, pairs) -> Partition:
     """Least meet congruence collapsing every given pair."""
-    pairs = list(pairs)
+    pairs = [(_element(x), _element(y)) for x, y in pairs]
     for x, y in pairs:
         if not (0 <= x < S.n and 0 <= y < S.n):
             raise SizeMismatch(f"pair ({x},{y}) out of range")
     return Partition(kernels.congruence_closure(S.below_mask, pairs))
 
 
-def _block_pairs(block_id) -> list[tuple[int, int]]:
-    """(least member, member) for every member of a block but its least one:
-    pairs that generate the partition ``block_id`` as an equivalence."""
-    first: dict[int, int] = {}
-    return [(f, x) for x, k in enumerate(block_id) if (f := first.setdefault(k, x)) != x]
-
-
-def _joined_labels(block_id, num_blocks: int, pairs) -> tuple[list[int], int]:
-    """The join, as equivalences, of the partition ``block_id`` (dense
-    first-occurrence ids of ``num_blocks`` blocks) and the equivalence
-    generated by ``pairs``, the transitive closure of their union: a map
-    from each label of ``block_id`` to its block of the join, in dense
-    first-occurrence ids, and the number of blocks of the join.
-
-    A union-find over the labels of ``block_id``, in which the larger root
-    points at the smaller, so a merged class keeps its least label and the
-    live labels stay in first-occurrence order.
-    """
-    label = list(range(num_blocks))
-    for x, y in pairs:
-        u = block_id[x]
-        while label[u] != u:
-            u = label[u]
-        v = block_id[y]
-        while label[v] != v:
-            v = label[v]
-        if u < v:
-            label[v] = u
-        elif v < u:
-            label[u] = v
-    # parents are smaller labels, so one ascending pass renumbers every label
-    live = 0
-    for k, p in enumerate(label):
-        if p == k:
-            label[k] = live
-            live += 1
-        else:
-            label[k] = label[p]
-    return label, live
-
-
 def all_meet_congruences(S: SemilatticeTable) -> list[Partition]:
-    """Every meet congruence of S, deterministically ordered.
+    """Every meet congruence of S, deterministically ordered, listed on
+    cuts: the cut D(theta) is the union of ↓x △ ↓y over the pairs x theta y.
 
-    Every congruence theta is the join of the cover congruences Cg(a, b)
-    (a covered by b) below it, because:
+    - x theta y iff ↓x and ↓y agree outside D(theta), since theta =
+      Cg(theta) and ``kernels.congruence_closure`` shows that Cg(P) relates
+      x and y iff ↓x and ↓y agree outside D(P).  So theta -> D(theta) is
+      injective, and theta <= psi iff D(theta) is a subset of D(psi).
+    - The same reading gives D(Cg(P)) = D(P) for every set P of pairs, so
+      D(theta v psi) = D(theta) | D(psi), because theta v psi = Cg(theta u
+      psi); and D(Cg(a, b)) = ↓b ∖ ↓a for a < b.
+    - Every theta is the join of the cover congruences Cg(a, b) (a covered
+      by b) below it: Cg(x, y) = Cg(x^y, x) v Cg(x^y, y), so theta is the
+      join of the Cg(a, b) with a < b inside one theta-block; for a < b,
+      Cg(a, b) is the join of the cover congruences along a maximal chain
+      from a to b, and blocks are convex, so those covers lie inside the
+      block too.
 
-    - Cg(x, y) = Cg(x^y, x) v Cg(x^y, y), so theta is the join of the
-      Cg(a, b) with a < b inside one theta-block;
-    - for a < b, Cg(a, b) is the join of the cover congruences along a
-      maximal chain from a to b, and blocks are convex, so those covers lie
-      inside the block too.
+    So with G = (g_0, g_1, ...) the distinct cover cuts ↓b ∖ ↓a, in the
+    order of ``S.covers``, theta -> D(theta) is an order isomorphism from
+    Con(S) onto the unions of members of G, the identity's cut being the
+    empty union.  Close-by-One lists each union once (Kuznetsov, "A fast
+    algorithm for computing all intersections of objects in a finite
+    semi-lattice", 1993; Ganter, "Two basic algorithms in concept
+    analysis", ICFCA 2010).  From a cut built by adding g_i, it tries only
+    the g_j with j > i that the cut leaves apart (g_j & ~cut is nonzero),
+    and keeps cut | g_j only when that holds no earlier g_k which the cut
+    leaves apart: then the cut is the canonical parent of cut | g_j.
 
-    So with G = (g_0, g_1, ...) the distinct cover congruences, in the order
-    of ``S.covers``, theta -> {g in G : g <= theta} is a bijection from
-    Con(S) onto the closed sets of the closure system whose closure of a
-    set is the g below its join; g_k <= theta exactly when theta relates
-    g_k's cover.  Close-by-One lists each closed set once (Kuznetsov, "A
-    fast algorithm for computing all intersections of objects in a finite
-    semi-lattice", 1993; Ganter, "Two basic algorithms in concept analysis",
-    ICFCA 2010).  It starts from the identity, the closure of the empty set,
-    since no cover congruence is the identity.  From theta, built by adding
-    g_i, it tries only the g_j with j > i that theta leaves apart, and keeps
-    theta v g_j only when that relates no earlier g_k which theta leaves
-    apart: then theta is the canonical parent of theta v g_j.
-
-    No meet is read: ``kernels.congruence_closure`` reads each Cg(a, b) off
-    the down-sets, and equal ones are kept once.  The join of two congruences
-    in Con(S) is their join as equivalences, the transitive closure of their
-    union (Burris & Sankappanavar, *A Course in Universal Algebra*, ch. II;
-    Freese, "Computing congruence lattices of finite lattices", Proc. AMS
-    1997, lists Con this way too), formed by ``_joined_labels``; the
-    canonicity test reads its label map before the block ids are built.
-    Each listed congruence carries its block count, which ``_joined_labels``
-    returns, so the list is sorted as plain (-blocks, block ids) tuples, the
-    order of ``_sort_key``, and each is wrapped in a ``Partition`` once,
-    after the sort.  The Bell scan stays available as an independent oracle
+    Only ``S.below_mask`` and ``S.covers`` are read: no meet, and no
+    closure.  The block ids of each listed congruence are read once, as
+    the first-occurrence ids of the down-sets outside its cut, and the list
+    is sorted as plain (-blocks, block ids) tuples, the order of
+    ``_sort_key``.  The Bell scan stays available as an independent oracle
     (``all_meet_congruences_bruteforce``).
     """
     if S.n > CONGRUENCE_MAX_N:
         raise TooLarge(f"n={S.n} exceeds bound {CONGRUENCE_MAX_N}")
-    cover_congruences = {}
-    for a, b in S.covers:
-        cover_congruences.setdefault(kernels.congruence_closure(S.below_mask, [(a, b)]), (a, b))
-    generators = [(a, b, _block_pairs(cg)) for cg, (a, b) in cover_congruences.items()]
-    identity = tuple(range(S.n))
-    listed = [(-S.n, identity)]  # (-blocks, theta), the order of _sort_key
-    work = [(identity, S.n, 0)]  # (theta, its blocks, index of the first generator to try)
+    below = S.below_mask
+    generators = list(dict.fromkeys(below[b] & ~below[a] for a, b in S.covers))
+    cuts = [0]
+    work = [(0, 0)]  # (cut, index of the first generator to try)
     while work:
-        ids, num_blocks, start = work.pop()
-        apart = []  # theta's labels of the covers of the earlier g_k it leaves apart
-        for j, (a, b, pairs) in enumerate(generators):
-            u = ids[a]
-            v = ids[b]
-            if u == v:
+        cut, start = work.pop()
+        apart = []  # the earlier g_k that the cut leaves apart
+        for j, g in enumerate(generators):
+            if not g & ~cut:
                 continue
             if j >= start:
-                label, blocks = _joined_labels(ids, num_blocks, pairs)
-                for p, q in apart:
-                    if label[p] == label[q]:
+                joined = cut | g
+                for h in apart:
+                    if not h & ~joined:
                         break
                 else:
-                    joined = tuple(map(label.__getitem__, ids))
-                    listed.append((-blocks, joined))
-                    work.append((joined, blocks, j + 1))
-            apart.append((u, v))
+                    cuts.append(joined)
+                    work.append((joined, j + 1))
+            apart.append(g)
+    listed = []
+    for cut in cuts:
+        keep = ~cut
+        ids = {}
+        block_id = tuple([ids.setdefault(down & keep, len(ids)) for down in below])
+        listed.append((-len(ids), block_id))
     listed.sort()
-    return [Partition(ids) for _, ids in listed]
+    return [Partition(block_id) for _, block_id in listed]
 
 
 def _set_partition_ids(n: int):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernels
-from .congruences import CONGRUENCE_MAX_N, Partition, all_meet_congruences
+from .congruences import CONGRUENCE_MAX_N, Partition, _element, all_meet_congruences
 from .core import SemilatticeTable, _bits
 from .errors import (
     ContainsZero,
@@ -92,7 +92,7 @@ class PartialJoinStructure:
 
     def _as_mask(self, elements) -> int:
         mask = 0
-        for e in elements:
+        for e in map(_element, elements):
             if e == 0:
                 raise ContainsZero("subsets of S+ cannot contain 0")
             if not 1 <= e < self.n:

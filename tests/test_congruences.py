@@ -4,12 +4,10 @@ import re
 
 import pytest
 
-from conftest import NAMED_POOL, classes
+from conftest import NAMED_POOL, classes, grown
 from slcong import kernels
 from slcong.congruences import (
     Partition,
-    _block_pairs,
-    _joined_labels,
     _set_partition_ids,
     all_lattice_congruences,
     all_meet_congruences,
@@ -33,12 +31,27 @@ def partial_join_table(S):
     return tuple(tuple(S.partial_join(x, y) if x and y else x or y for y in rng) for x in rng)
 
 
-def _join_equivalences(block_id, num_blocks, pairs):
-    """The join as dense block ids, read off the enumeration's label map."""
-    label, blocks = _joined_labels(block_id, num_blocks, pairs)
-    joined = tuple(map(label.__getitem__, block_id))
-    assert blocks == max(joined, default=-1) + 1
-    return joined
+def _block_pairs(block_id):
+    """(least member, member) for every member of a block but its least one:
+    pairs that generate the partition ``block_id`` as an equivalence."""
+    first = {}
+    return [(f, x) for x, k in enumerate(block_id) if (f := first.setdefault(k, x)) != x]
+
+
+def _cut(S, block_id):
+    """The union of the down-set differences ↓x △ ↓y over the pairs x ~ y."""
+    below = S.below_mask
+    cut = 0
+    for x in range(S.n):
+        for y in range(S.n):
+            if block_id[x] == block_id[y]:
+                cut |= below[x] ^ below[y]
+    return cut
+
+
+def _ids_off_cut(S, cut):
+    """Dense first-occurrence ids of the down-sets read outside ``cut``."""
+    return Partition.from_block_id([down & ~cut for down in S.below_mask]).block_id
 
 
 def lattice_congruences_oracle(S):
@@ -80,6 +93,22 @@ def test_partition_from_blocks_errors():
         Partition.from_blocks(3, [[0, 1], [1, 2]])
     with pytest.raises(SizeMismatch, match="empty block"):
         Partition.from_blocks(3, [[0, 1, 2], []])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: Partition.from_blocks(2, [[0, bad]]),
+        lambda bad: congruence_generated(named("b4"), [(bad, 3)]),
+        lambda bad: PartialJoinStructure(named("b4")).is_join_closed([bad]),
+    ],
+    ids=["from_blocks", "congruence_generated", "is_join_closed"],
+)
+def test_elements_that_are_not_ints_are_refused(call, bad):
+    # bool is an int subclass, and True == 1 == 1.0: each would pass for 1
+    with pytest.raises(SizeMismatch, match=re.escape(f"element {bad!r} is not an int")):
+        call(bad)
 
 
 def test_partition_refines():
@@ -181,23 +210,28 @@ def test_join_pair_matches_closure_from_scratch():
                     assert joined == least.block_id, (S.meet, P, x, y)
 
 
-def test_equivalence_join_with_a_cover_congruence_is_its_closure(rng):
-    # the join in Con(S) is the join in Eq(S): every Bell-scan congruence P
-    # joined as an equivalence with each cover congruence Cg(a, b) is the
-    # closure of P and (a, b) through the meet.  Canonical labels follow a
-    # linear extension, so a relabeled copy of each table also makes the
-    # union-find merge a block into one with a smaller label.
+def test_cut_join_with_a_cover_congruence_is_its_closure(rng):
+    # the listing rests on cuts: a congruence P is read back off its cut,
+    # the cut of its join with Cg(a, b) is cut(P) | (↓b ∖ ↓a), and P
+    # refines Q exactly when cut(P) is inside cut(Q).  Canonical labels
+    # follow a linear extension, so a relabeled copy of each table checks
+    # the cuts under other labels too
     pool = [named(name) for name in NAMED_POOL]
     for n in range(1, 7):
         pool += classes(n)
     pool += [S.relabel([0] + rng.sample(range(1, S.n), S.n - 1)) for S in pool]
     for S in pool:
-        generators = [(a, b, congruence_generated(S, [(a, b)]).block_id) for a, b in S.covers]
-        for P in all_meet_congruences_bruteforce(S):
-            for a, b, cg in generators:
-                joined = _join_equivalences(P.block_id, P.num_blocks, _block_pairs(cg))
+        below = S.below_mask
+        cons = all_meet_congruences_bruteforce(S)
+        cuts = [_cut(S, P.block_id) for P in cons]
+        for P, cut in zip(cons, cuts):
+            assert _ids_off_cut(S, cut) == P.block_id, (S.meet, P)
+            for a, b in S.covers:
+                joined = _ids_off_cut(S, cut | (below[b] & ~below[a]))
                 closed = congruence_generated(S, _block_pairs(P.block_id) + [(a, b)]).block_id
                 assert joined == closed, (S.meet, P, a, b)
+            for Q, other in zip(cons, cuts):
+                assert P.refines(Q) == (cut & ~other == 0), (S.meet, P, Q)
 
 
 def test_eight_element_congruences_match_join_closed_subset_counts():
@@ -231,6 +265,20 @@ def test_listing_commutes_with_relabeling(rng):
             moved = {Partition.from_block_id([P.block_id[x] for x in old]) for P in cons}
             listed = all_meet_congruences(S.relabel(perm))
             assert len(listed) == len(cons) and set(listed) == moved, (S.meet, perm)
+
+
+@pytest.mark.parametrize("name,c", [("b4", 28), ("n5", 26), ("f", 25), ("n6", 25)])
+def test_listing_at_its_bound_on_grown_tables(rng, name, c):
+    # tier-1 lists Con(S) at n = 9 and 10 otherwise only on chains, which
+    # have no UBTAs; a grown table keeps the UBTAs of its base, and hanging
+    # or attaching a chain doubles |Con S| per element
+    for n in (9, 10):
+        S = grown(rng, named(name), n)
+        cons = all_meet_congruences(S)
+        assert len(cons) == c << (n - 6) == PartialJoinStructure(S).count_bruteforce()
+        assert len({P.block_id for P in cons}) == len(cons)
+        for P in cons:
+            assert kernels.op_compatible(S.meet, P.block_id)
 
 
 def test_chain_congruence_counts_powers():

@@ -113,9 +113,8 @@ def test_verify_walks_the_enumeration_once(capsys):
 
 
 def test_tracer_sees_the_joins_of_congruence_enumeration():
-    # enumeration reads the meet only to close each cover congruence, once
-    # per cover; its joins are joins of equivalences and do not pass
-    # through the kernel, so b4's 4 covers give 4 closures for 7 congruences
+    # enumeration reads the cover cuts off the down-set masks and joins
+    # them as ints, so b4's 7 congruences are listed without one closure
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -124,8 +123,8 @@ def test_tracer_sees_the_joins_of_congruence_enumeration():
         tracer.uninstall()
     metrics = tracer.metrics()
     assert len(cons) == 7
-    assert metrics["kernels.congruence_closure.calls"][0] == 4
-    assert metrics["congruences.closures_per_congruence"][0] == 4 / 7
+    assert metrics["kernels.congruence_closure.calls"][0] == 0
+    assert metrics["congruences.closures_per_congruence"][0] == 0
 
 
 def test_the_fast_path_leaves_the_oracles_tools_alone(capsys, monkeypatch):
